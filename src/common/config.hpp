@@ -232,7 +232,7 @@ struct SchemeConfig
 };
 
 /**
- * Map a user-facing scheme name (the lbsim_cli / lbsimd vocabulary:
+ * Map a user-facing scheme name (the lbsim_cli vocabulary:
  * "baseline", "best-swl", "ccws", "pcal", "cerf", "linebacker"/"lb",
  * "vc", "svc", "pcal-svc", "pcal-cerf", "cache-ext", "lb-cache-ext")
  * onto its SchemeConfig. "best-swl" with @p warp_limit 0 has no static

@@ -2,8 +2,8 @@
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
  *
- * The integrity primitive behind every durable artifact the service
- * layer writes: journal records frame their payload with a CRC so a
+ * The integrity primitive behind the memo cache's journal
+ * (harness/journal.hpp): records frame their payload with a CRC so a
  * reader can tell a torn or bit-flipped record from a healthy one
  * instead of misparsing it. Table-driven, dependency-free, and
  * deterministic across platforms — the checksum is part of the on-disk

@@ -9,12 +9,11 @@
  * strings, and formats doubles deterministically (non-finite values
  * become null, which JSON lacks).
  *
- * The reader (JsonValue + parseJson) is the inverse half, shared by the
- * perf-trajectory loader and the lbsimd wire protocol: a strict
- * recursive-descent parser into a small value tree. Strict means no
- * trailing garbage, no non-finite numbers, and a one-line reason for
- * every rejection — wire frames and committed artifacts are either
- * well-formed or refused, never half-read.
+ * The reader (JsonValue + parseJson) is the inverse half, used by the
+ * perf-trajectory loader: a strict recursive-descent parser into a
+ * small value tree. Strict means no trailing garbage, no non-finite
+ * numbers, and a one-line reason for every rejection — committed
+ * artifacts are either well-formed or refused, never half-read.
  */
 
 #pragma once

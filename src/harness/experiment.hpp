@@ -198,9 +198,8 @@ struct EngineOptions
 /**
  * Execute one cell under @p options (isolation, timeout, and retry
  * policy included) and return its result. This is the single-cell core
- * of ExperimentEngine::run, exposed so the sweep service can schedule
- * cells one at a time with its own queueing; @p index is echoed into
- * CellResult::index.
+ * of ExperimentEngine::run, exposed so tests can drive one cell
+ * directly; @p index is echoed into CellResult::index.
  */
 CellResult runExperimentCell(const ExperimentCell &cell,
                              const EngineOptions &options,

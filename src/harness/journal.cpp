@@ -1,4 +1,4 @@
-#include "service/journal.hpp"
+#include "harness/journal.hpp"
 
 #include <cerrno>
 #include <cstdio>
@@ -138,7 +138,7 @@ Journal::recover(std::vector<std::string> &records,
     if (data.size() < magic.size() ||
         data.compare(0, magic.size(), magic) != 0) {
         // Foreign or pre-journal file: nothing to load. The file is
-        // left untouched; the first append (or checkpoint) resets it.
+        // left untouched; only a checkpoint replaces it.
         report.freshStart = true;
         return true;
     }
@@ -213,7 +213,7 @@ Journal::append(const std::string &payload, std::string *error)
                  "open " + path_ + ": " + std::strerror(errno));
         return false;
     }
-    // Exclusive lock: frames from concurrent writers (daemon workers,
+    // Exclusive lock: frames from concurrent writers (other processes,
     // crash-isolated children) must never interleave mid-frame.
     if (::flock(fd, LOCK_EX) != 0) {
         setError(error,

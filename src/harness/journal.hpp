@@ -2,7 +2,7 @@
  * @file
  * lbsim-journal-v1: a crash-safe append-only record log.
  *
- * The durable store behind the sweep service and the memo cache. The
+ * The durable store behind the memo cache (harness/memo_cache.hpp). The
  * old memo format was a line-oriented CSV appended in place — a process
  * killed mid-append could leave a torn line that the next reader
  * silently misparsed, and a torn *middle* (two processes interleaving)
@@ -14,17 +14,18 @@
  *
  * where crc is CRC-32 (IEEE) of the payload bytes. Appends take an
  * exclusive flock and issue one write() of the whole frame (plus an
- * optional fsync), so concurrent writers — the daemon and its
- * crash-isolated children share one store — serialize cleanly and a
- * SIGKILL can tear at most the final frame.
+ * optional fsync), so concurrent writers — separate bench processes and
+ * crash-isolated sweep children share one store — serialize cleanly and
+ * a SIGKILL can tear at most the final frame.
  *
  * recover() is the startup path: it scans the file, loads every intact
  * payload, TRUNCATES a torn tail (the only damage a killed writer can
  * cause), QUARANTINES CRC-mismatched middle records into
  * "<path>.quarantine" and compacts them out of the live file, and
  * reports exactly what it dropped. A file with a foreign or missing
- * magic line is treated as not-a-journal: left untouched until the
- * first append rewrites it.
+ * magic line is treated as not-a-journal: left untouched until a
+ * checkpoint() replaces it. append() does not reset such a file, so its
+ * owner checkpoints first (as the memo cache does).
  *
  * checkpoint() compacts: it rewrites the journal with exactly the given
  * records via temp-file + fsync + rename, so a crash mid-compaction

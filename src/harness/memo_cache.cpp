@@ -73,13 +73,14 @@ MemoCache::load()
     // fills demand the capability regardless of call site.
     MutexLock lock(mutex_);
     std::vector<std::string> records;
-    if (!journal_.recover(records, recovery_)) {
+    JournalRecovery recovery;
+    if (!journal_.recover(records, recovery)) {
         // Unreadable store: behave as empty but never append into a
         // file we could not make sense of.
         rewriteOnStore_ = true;
         return;
     }
-    if (recovery_.freshStart) {
+    if (recovery.freshStart) {
         // Missing file starts clean; an existing foreign / pre-journal
         // file (e.g. a schema-3 CSV) must be rewritten before first use.
         rewriteOnStore_ = std::ifstream(path_).good();
@@ -172,15 +173,6 @@ MemoCache::store(const std::string &key, const std::string &value)
     MutexLock lock(mutex_);
     entries_[key] = value;
     append(key, value);
-}
-
-void
-MemoCache::compact()
-{
-    if (!enabled_)
-        return;
-    MutexLock lock(mutex_);
-    checkpointLocked();
 }
 
 std::size_t

@@ -10,12 +10,12 @@
  * older (or newer) build is discarded wholesale rather than misread.
  *
  * Since schema 4 the store is a CRC-framed write-ahead journal
- * (lbsim-journal-v1, see service/journal.hpp) instead of an in-place
+ * (lbsim-journal-v1, see harness/journal.hpp) instead of an in-place
  * CSV append: a writer killed mid-store can tear at most the final
  * frame, which recovery truncates on the next load instead of
- * misparsing — the durability contract the lbsimd sweep service builds
- * its kill-and-restart resume on. Each record is "key|value"; re-stores
- * append (last write wins on load) and compact() folds them out.
+ * misparsing, so an interrupted sweep resumes from every cell it
+ * finished. Each record is "key|value"; re-stores append and the last
+ * write wins on load.
  *
  * The store is thread-safe with single-writer semantics: the whole file
  * is loaded into memory once, lookups are in-memory map reads, and all
@@ -38,7 +38,7 @@
 #include <unordered_map>
 
 #include "common/thread_safety.hpp"
-#include "service/journal.hpp"
+#include "harness/journal.hpp"
 
 namespace lbsim
 {
@@ -87,18 +87,8 @@ class MemoCache
     getOrComputeIf(const std::string &key,
                    const std::function<ComputeResult()> &compute);
 
-    /**
-     * Compact the journal: rewrite it (temp file + rename) with one
-     * record per live key, folding out superseded re-stores. The
-     * daemon's graceful-shutdown checkpoint.
-     */
-    void compact();
-
     /** Live entry count (0 when disabled). */
     std::size_t size() const;
-
-    /** What journal recovery found when this cache loaded its file. */
-    const JournalRecovery &recovery() const { return recovery_; }
 
     /** True if the cache is usable (not disabled via LBSIM_NO_CACHE). */
     bool enabled() const { return enabled_; }
@@ -124,7 +114,6 @@ class MemoCache
 
     std::string path_;
     bool enabled_;
-    JournalRecovery recovery_;
 
     mutable Mutex mutex_;
     Journal journal_ LB_GUARDED_BY(mutex_);

@@ -2,22 +2,20 @@
 """Exit-code contract tests for the lbsim command-line tools.
 
 The exit codes are API: scripts and CI jobs branch on them, so they are
-pinned here end-to-end against the real binaries.
+pinned here end-to-end against the real binary.
 
-  lbsim_cli:     0 ok, 3 watchdog trip (with a parseable JSON hang
-                 report next to it)
-  lbsim_submit:  0 ok, 2 usage/connect errors, 4 shed by the daemon
+  lbsim_cli:  0 ok, 1 rejected flag (with a one-line message),
+              3 watchdog trip (with a parseable JSON hang report next
+              to it)
 
-Usage: check_cli.py <lbsim_cli> <lbsimd> <lbsim_submit>
+Usage: check_cli.py <lbsim_cli>
 """
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import tempfile
-import time
 
 FAILURES = []
 
@@ -68,62 +66,32 @@ def test_cli_ok_exit_code(cli, tmp):
           f"rc={proc.returncode} stderr={proc.stderr[-400:]}")
 
 
-def test_submit_usage_and_connect_errors(submit, tmp):
-    proc = run([submit, "--socket", os.path.join(tmp, "x.sock")])
-    check("submit without --schemes exits 2", proc.returncode == 2,
-          f"rc={proc.returncode}")
-    proc = run([
-        submit, "--socket", os.path.join(tmp, "nonexistent.sock"),
-        "--schemes", "baseline", "--apps", "S2", "--smoke",
-    ])
-    check("submit to a dead socket exits 2", proc.returncode == 2,
-          f"rc={proc.returncode} stderr={proc.stderr[-200:]}")
-
-
-def test_submit_shed_exit_code(daemon, submit, tmp):
-    """A shed submission exits 4, distinct from failure and hang."""
-    sock = os.path.join(tmp, "d.sock")
-    log = open(os.path.join(tmp, "daemon.log"), "w")
-    # --queue 0: the daemon sheds every submission as queue-full.
-    proc = subprocess.Popen(
-        [daemon, "--socket", sock, "--queue", "0",
-         "--plans-journal", "none"],
-        stdout=log, stderr=log, cwd=tmp)
-    try:
-        for _ in range(100):
-            if os.path.exists(sock):
-                break
-            time.sleep(0.05)
-        check("daemon came up", os.path.exists(sock))
-        shed = run([
-            submit, "--socket", sock, "--client", "exit-code-test",
-            "--schemes", "baseline", "--apps", "S2", "--smoke",
+def test_cli_rejects_bad_flags(cli):
+    """An out-of-range flag exits 1 with a one-line message, never a panic."""
+    for flag, value in (("--l1-kb", "0"), ("--sms", "0"),
+                        ("--l1-kb", "5000000")):
+        proc = run([
+            cli, "--app", "S2", "--scheme", "baseline", flag, value,
+            "--warmup", "0", "--cycles", "1000", "--no-cache",
         ])
-        check("shed submission exits 4", shed.returncode == 4,
-              f"rc={shed.returncode} stderr={shed.stderr[-200:]}")
-        check("shed reason reaches the client",
-              "queue-full" in shed.stderr + shed.stdout,
-              (shed.stderr + shed.stdout)[-200:])
-    finally:
-        proc.send_signal(signal.SIGTERM)
-        rc = proc.wait(timeout=30)
-        log.close()
-        check("daemon drains to exit 0 on SIGTERM", rc == 0, f"rc={rc}")
+        lines = proc.stderr.strip().splitlines()
+        check(f"cli {flag} {value} exits 1", proc.returncode == 1,
+              f"rc={proc.returncode} stderr={proc.stderr[-400:]}")
+        check(f"cli {flag} {value} explains itself in one line",
+              len(lines) == 1 and flag in lines[0], proc.stderr[-400:])
 
 
 def main():
-    if len(sys.argv) != 4:
+    if len(sys.argv) != 2:
         print(__doc__)
         return 2
-    # The daemon runs with cwd inside the sandbox: absolutize first.
-    cli, daemon, submit = (os.path.abspath(p) for p in sys.argv[1:4])
+    cli = sys.argv[1]
     with tempfile.TemporaryDirectory(prefix="lbsim_cli_test_") as tmp:
         # Keep every artifact (and the memo cache) inside the sandbox.
         os.environ["LBSIM_CACHE_PATH"] = os.path.join(tmp, "cache.journal")
         test_cli_ok_exit_code(cli, tmp)
         test_cli_hang_exit_code(cli, tmp)
-        test_submit_usage_and_connect_errors(submit, tmp)
-        test_submit_shed_exit_code(daemon, submit, tmp)
+        test_cli_rejects_bad_flags(cli)
     if FAILURES:
         print(f"{len(FAILURES)} check(s) failed: {', '.join(FAILURES)}")
         return 1

@@ -3,22 +3,17 @@
 
 The oracle is embedded in the fixtures themselves: every line that a
 check must flag carries a trailing `// EXPECT(check-name)` comment, and
-a fixture with no EXPECT comments must come out silent. The same corpus
-drives both backends, which is what keeps them behaviourally aligned:
+a fixture with no EXPECT comments must come out silent.
 
-  fixtures                 run tools/lint/lbsim_lint.py (the portable
-                           python backend) over the corpus and compare
-                           (file, line, check) triples against EXPECTs
-  fixtures --backend tidy  same corpus through stock clang-tidy with
-                           the lbsim plugin (--plugin liblbsim-tidy.so)
-  tree                     run the python backend over the real source
-                           tree with production settings; any finding
-                           fails (the tree is kept finding-clean)
-  thread-safety            compile the thread_safety_{good,bad}.cpp
-                           fixtures with clang -Wthread-safety -Werror;
-                           good must pass, bad must fail. Exits 77
-                           (ctest SKIP_RETURN_CODE) when no clang is
-                           on the PATH.
+  fixtures       run tools/lint/lbsim_lint.py over the corpus and
+                 compare (file, line, check) triples against EXPECTs
+  tree           run the lint over the real source tree with production
+                 settings; any finding fails (the tree is kept
+                 finding-clean)
+  thread-safety  compile the thread_safety_{good,bad}.cpp fixtures with
+                 clang -Wthread-safety -Werror; good must pass, bad must
+                 fail. Exits 77 (ctest SKIP_RETURN_CODE) when no clang
+                 is on the PATH.
 
 Exit status: 0 pass, 1 fail, 77 skipped, 2 usage/environment error.
 """
@@ -71,67 +66,33 @@ def parse_findings(output):
     return found
 
 
-def compare(expected, found, label):
+def compare(expected, found):
     missing = sorted(expected - found)
     surplus = sorted(found - expected)
     for item in missing:
-        print("MISSING  %s:%d [%s]  (%s backend did not report it)"
-              % (item[0], item[1], item[2], label))
+        print("MISSING  %s:%d [%s]  (lint did not report it)"
+              % (item[0], item[1], item[2]))
     for item in surplus:
-        print("SURPLUS  %s:%d [%s]  (%s backend reported it, no EXPECT)"
-              % (item[0], item[1], item[2], label))
+        print("SURPLUS  %s:%d [%s]  (lint reported it, no EXPECT)"
+              % (item[0], item[1], item[2]))
     if missing or surplus:
         return 1
-    print("PASS: %s backend matched all %d expectations"
-          % (label, len(expected)))
+    print("PASS: lint matched all %d expectations" % len(expected))
     return 0
 
 
-def run_python_backend(paths):
-    cmd = [sys.executable, LINT_PY, "--model-dirs", ""] + paths
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):
-        sys.stderr.write(proc.stderr)
-        print("python backend exited %d" % proc.returncode)
-        return None
-    return proc.stdout
-
-
-def run_tidy_backend(paths, plugin, clang_tidy):
-    if not os.path.exists(plugin):
-        print("plugin %s not found" % plugin)
-        return None
-    config = ("{Checks: '-*,lbsim-*', CheckOptions: "
-              "[{key: lbsim-nondeterminism.ModelDirs, value: ''}, "
-              "{key: lbsim-cross-domain.ModelDirs, value: ''}]}")
-    out = []
-    for path in paths:
-        cmd = [clang_tidy, "--load", plugin, "--config", config,
-               path, "--", "-std=c++17"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        # clang-tidy exits nonzero on warnings-as-errors and on compile
-        # errors; a compile error in a fixture is a test bug.
-        if "error:" in proc.stdout or "error:" in proc.stderr:
-            sys.stderr.write(proc.stdout + proc.stderr)
-            print("clang-tidy failed to parse %s" % path)
-            return None
-        out.append(proc.stdout)
-    return "\n".join(out)
-
-
-def cmd_fixtures(args):
+def cmd_fixtures(_args):
     paths = lint_fixtures()
     if not paths:
         print("no fixtures under %s" % FIXTURE_DIR)
         return 2
-    expected = expectations(paths)
-    if args.backend == "python":
-        output = run_python_backend(paths)
-    else:
-        output = run_tidy_backend(paths, args.plugin, args.clang_tidy)
-    if output is None:
+    cmd = [sys.executable, LINT_PY, "--model-dirs", ""] + paths
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        sys.stderr.write(proc.stderr)
+        print("lint exited %d" % proc.returncode)
         return 2
-    return compare(expected, parse_findings(output), args.backend)
+    return compare(expectations(paths), parse_findings(proc.stdout))
 
 
 def cmd_tree(_args):
@@ -192,12 +153,6 @@ def main(argv):
     sub = ap.add_subparsers(dest="mode", required=True)
 
     fx = sub.add_parser("fixtures", help="fixture corpus vs. EXPECTs")
-    fx.add_argument("--backend", choices=("python", "tidy"),
-                    default="python")
-    fx.add_argument("--plugin", default="",
-                    help="path to liblbsim-tidy.so (tidy backend)")
-    fx.add_argument("--clang-tidy", default="clang-tidy",
-                    help="clang-tidy binary (tidy backend)")
     fx.set_defaults(func=cmd_fixtures)
 
     tr = sub.add_parser("tree", help="whole-tree finding-clean check")
@@ -210,9 +165,6 @@ def main(argv):
     ts.set_defaults(func=cmd_thread_safety)
 
     args = ap.parse_args(argv)
-    if args.mode == "fixtures" and args.backend == "tidy" \
-            and not args.plugin:
-        ap.error("--backend tidy requires --plugin")
     return args.func(args)
 
 

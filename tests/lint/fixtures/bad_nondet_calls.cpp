@@ -1,6 +1,6 @@
 // Fixture: every nondeterminism *source* the lbsim-nondeterminism
 // check must flag. Trailing EXPECT(check) comments are the oracle the
-// check_lint.py runner compares both backends against.
+// check_lint.py runner compares the lint backend against.
 
 #include <chrono>
 #include <cstdlib>

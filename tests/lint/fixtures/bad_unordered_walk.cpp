@@ -1,6 +1,6 @@
 // Fixture: range-for over unordered containers whose bodies have
-// order-visible effects (state mutation, output). Both backends must
-// flag each loop header line.
+// order-visible effects (state mutation, output). The lint must flag
+// each loop header line.
 
 #include <cstdint>
 #include <cstdio>

@@ -16,9 +16,12 @@
  *   lbsim_cli --app BI --scheme svc --sms 4 --cycles 600000 --json out.json
  */
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -86,6 +89,30 @@ flag(int argc, char **argv, const char *name)
     return false;
 }
 
+/**
+ * Parse @p text, the value of flag @p name, as a decimal integer in
+ * [@p lo, @p hi]. Anything else (no digits, a sign, trailing junk, out
+ * of range) prints a one-line error and returns false.
+ */
+bool
+parseBounded(const char *name, const char *text, std::uint64_t lo,
+             std::uint64_t hi, std::uint64_t &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno != 0 ||
+        value < lo || value > hi) {
+        std::fprintf(stderr, "%s: expected an integer in [%llu, %llu], "
+                     "got '%s'\n", name,
+                     static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi), text);
+        return false;
+    }
+    out = value;
+    return true;
+}
+
 void
 printReport(const AppProfile &app, const std::string &scheme_name,
             const RunMetrics &m)
@@ -149,10 +176,16 @@ main(int argc, char **argv)
         return 1;
     }
 
+    constexpr std::uint64_t kU32Max =
+        std::numeric_limits<std::uint32_t>::max();
     GpuConfig cfg;
-    if (const char *v = arg(argc, argv, "--l1-kb"))
-        cfg.l1.sizeBytes = static_cast<std::uint32_t>(
-            std::strtoul(v, nullptr, 10) * 1024);
+    if (const char *v = arg(argc, argv, "--l1-kb")) {
+        // The byte count must fit the uint32_t geometry field.
+        std::uint64_t kb = 0;
+        if (!parseBounded("--l1-kb", v, 1, kU32Max / 1024, kb))
+            return 1;
+        cfg.l1.sizeBytes = static_cast<std::uint32_t>(kb * 1024);
+    }
     cfg.warmupCycles = 200000;
     if (const char *v = arg(argc, argv, "--warmup"))
         cfg.warmupCycles = std::strtoull(v, nullptr, 10);
@@ -162,9 +195,12 @@ main(int argc, char **argv)
     RunnerOptions options;
     options.simSms = 2;
     options.maxCycles = 400000;
-    if (const char *v = arg(argc, argv, "--sms"))
-        options.simSms = static_cast<std::uint32_t>(
-            std::strtoul(v, nullptr, 10));
+    if (const char *v = arg(argc, argv, "--sms")) {
+        std::uint64_t sms = 0;
+        if (!parseBounded("--sms", v, 1, kU32Max, sms))
+            return 1;
+        options.simSms = static_cast<std::uint32_t>(sms);
+    }
     if (const char *v = arg(argc, argv, "--sm-threads"))
         options.smThreads = clampThreadArg(
             static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10)),

@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
-"""Portable backend of the lbsim lint suite.
+"""The lbsim lint suite.
 
-Implements the same check families as the clang-tidy plugin
-(tools/lint/*.cpp) with textual heuristics, so the suite runs on any
-box with python3 — no LLVM dev toolchain required. The plugin is the
-precise reference implementation; this backend exists so ctest and
-tools/run_static_analysis.sh can enforce the rules everywhere. Both
-backends are validated against the same fixture corpus in tests/lint/.
+Enforces the project-specific check families below with textual
+heuristics, so the suite runs on any box with python3 — no LLVM dev
+toolchain required. ctest and tools/run_static_analysis.sh run it, and
+the fixture corpus in tests/lint/ is its oracle.
 
 Check families
 --------------

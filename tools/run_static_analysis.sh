@@ -2,9 +2,7 @@
 # Static-analysis and sanitizer driver for lbsim.
 #
 # Runs, in order, skipping tools that are not installed:
-#   1. the lbsim lint suite (tools/lint): the portable python backend
-#      always, plus the clang-tidy plugin when a built
-#      liblbsim-tidy.so is found (or LBSIM_TIDY_PLUGIN points at one)
+#   1. the lbsim lint suite (tools/lint/lbsim_lint.py) over the tree
 #   2. clang-tidy over the library/tool sources (profile: .clang-tidy,
 #      -warnings-as-errors=*: any finding fails the run)
 #   3. cppcheck over src/
@@ -20,7 +18,7 @@
 #                                [--fix] [-j N]
 #
 #   --fix is passed through to clang-tidy (applies fix-its from the
-#   stock profile checks; the lbsim checks are diagnose-only).
+#   stock profile checks).
 
 set -u
 
@@ -50,22 +48,8 @@ note() { printf '\n=== %s ===\n' "$*"; }
 
 # --- 1. lbsim lint suite -----------------------------------------------------
 if [ "$run_lint" -eq 1 ]; then
-    note "lbsim-lint (python backend)"
+    note "lbsim-lint"
     python3 "$repo_root/tests/lint/check_lint.py" tree || failures=1
-
-    # The plugin backend needs a built liblbsim-tidy.so (cmake
-    # -DLBSIM_BUILD_LINT=ON) and clang-tidy >= 15 for --load.
-    plugin="${LBSIM_TIDY_PLUGIN:-}"
-    if [ -z "$plugin" ]; then
-        for candidate in "$repo_root"/build*/tools/lint/liblbsim-tidy.so; do
-            [ -f "$candidate" ] && plugin="$candidate" && break
-        done
-    fi
-    if [ -n "$plugin" ] && command -v clang-tidy >/dev/null 2>&1; then
-        note "lbsim-lint (clang-tidy plugin backend)"
-        python3 "$repo_root/tests/lint/check_lint.py" fixtures \
-            --backend tidy --plugin "$plugin" || failures=1
-    fi
 fi
 
 # --- 2. clang-tidy -----------------------------------------------------------
