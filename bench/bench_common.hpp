@@ -44,8 +44,6 @@ struct BenchOptions
     unsigned threads = 0;   ///< 0 = hardware concurrency.
     /** SMs to simulate; 0 keeps the standard 2-SM scaled slice. */
     std::uint32_t sms = 0;
-    /** Worker threads for the parallel SM tick phase; 0 = serial. */
-    std::uint32_t smThreads = 0;
     bool smoke = false;
     bool writeJson = true;
     std::string jsonPath;   ///< Default BENCH_<benchName>.json.
@@ -58,8 +56,6 @@ benchUsage(const std::string &bench_name)
         "usage: bench_%s [options]\n"
         "  --threads <n>   worker threads (default: hardware)\n"
         "  --sms <n>       SMs to simulate (default 2, scaled chip)\n"
-        "  --sm-threads <n> parallel SM tick-phase threads (default 1;\n"
-        "                  results bit-identical at any value)\n"
         "  --smoke         reduced cycles and app subset (CI)\n"
         "  --json [path]   JSON output path (default BENCH_%s.json)\n"
         "  --no-json       skip the JSON artifact\n"
@@ -82,9 +78,6 @@ parseBenchArgs(int argc, char **argv, const std::string &bench_name)
         } else if (a == "--sms" && i + 1 < argc) {
             opts.sms = static_cast<std::uint32_t>(
                 std::strtoul(argv[++i], nullptr, 10));
-        } else if (a == "--sm-threads" && i + 1 < argc) {
-            opts.smThreads = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
         } else if (a == "--smoke") {
             opts.smoke = true;
         } else if (a == "--json") {
@@ -106,9 +99,8 @@ parseBenchArgs(int argc, char **argv, const std::string &bench_name)
     }
     // CLI boundary: oversubscribing a small box only thrashes, so cap
     // user-supplied counts at the hardware (library callers may still
-    // oversubscribe deliberately, e.g. the parallel-tick tests).
+    // oversubscribe deliberately).
     opts.threads = clampThreadArg(opts.threads, "--threads");
-    opts.smThreads = clampThreadArg(opts.smThreads, "--sm-threads");
     return opts;
 }
 
@@ -126,7 +118,6 @@ benchRunnerOptions(const BenchOptions &opts = {})
 {
     RunnerOptions options;
     options.simSms = opts.sms ? opts.sms : 2;
-    options.smThreads = opts.smThreads;
     options.maxCycles = opts.smoke ? 100000 : 400000;
     options.useMemoCache = true;
     return options;

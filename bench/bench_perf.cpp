@@ -149,7 +149,6 @@ main(int argc, char **argv)
     point.timestamp = static_cast<std::int64_t>(std::time(nullptr));
     point.smoke = opts.smoke;
     point.sms = opts.sms ? opts.sms : 2;
-    point.smThreads = opts.smThreads;
 
     for (const SchemeConfig &scheme : schemes) {
         SchemePerfPoint perf;

@@ -96,13 +96,9 @@ struct GpuConfig
     Cycle auditStride = 8192;
 
     /**
-     * Worker threads for the parallel SM phase of the tick engine
-     * (DESIGN.md §13). Each cycle the SMs tick concurrently on a
-     * persistent pool of this many threads (including the caller) and
-     * join at the interconnect barrier; 1 (the default) keeps the
-     * classic serial loop. Purely an execution-engine knob — simulated
-     * results are bit-identical for every value, so like auditStride it
-     * is excluded from the memo-cache key.
+     * Ignored; assigned by the frozen benchmark harness. The SMs tick
+     * serially (DESIGN.md §13) and no code reads this field. Excluded
+     * from the memo-cache key.
      */
     std::uint32_t smThreads = 1;
 
@@ -122,8 +118,8 @@ struct GpuConfig
      * the engine fast-forwards to the earliest such cycle and replays
      * the per-cycle accumulators for the jumped distance. Results are
      * bit-identical with the knob on or off (the TickSkip tests enforce
-     * it), so like smThreads it is an execution-engine knob excluded
-     * from the memo-cache key. Automatically disabled for runs with an
+     * it), so it is an execution-engine knob excluded from the
+     * memo-cache key. Automatically disabled for runs with an
      * armed fault injector: fault hooks must observe every real cycle.
      */
     bool tickSkip = true;

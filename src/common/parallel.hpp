@@ -1,40 +1,11 @@
 /**
  * @file
- * Worker pool + cycle barrier for the parallel SM tick phase.
- *
- * The 16-SM scale-out shards the chip into one tick domain per SM and
- * runs the SM phase of every cycle concurrently (see DESIGN.md §13).
- * The synchronization pattern is a fork/join barrier executed twice per
- * simulated cycle, so the primitive is built for very short, very
- * frequent phases:
- *
- *  - Persistent workers: threads are spawned once and parked on a
- *    spin-then-yield wait, never created or destroyed per cycle.
- *  - Static shard assignment: worker w owns shards {w, w+T, w+2T, ...}.
- *    Which thread ticks an SM can never affect results — shards only
- *    touch their own state plus single-producer staging lanes — so the
- *    fixed round-robin split is chosen purely to avoid work-stealing
- *    synchronization.
- *  - Sense via a generation counter: run() publishes the job with a
- *    release increment of the generation; workers acquire-load it, so
- *    everything the serial phase wrote is visible to every shard, and
- *    the final acquire on the remaining-counter makes all shard writes
- *    visible to the serial phase that follows. These two edges are the
- *    only happens-before relations the tick engine needs.
- *
- * With threads <= 1 the pool spawns nothing and run() degenerates to
- * the classic serial SM loop — the default configuration costs zero
- * synchronization.
+ * Thread-count arguments at the CLI boundary. The simulator itself is
+ * single-threaded; parallelism lives across sweep cells, which the
+ * experiment engine runs on its own workers (DESIGN.md §9).
  */
 
 #pragma once
-
-#include <atomic>
-#include <cstddef>
-#include <exception>
-#include <functional>
-#include <thread>
-#include <vector>
 
 namespace lbsim
 {
@@ -43,79 +14,11 @@ namespace lbsim
  * Clamp a user-supplied thread-count argument to the machine's hardware
  * concurrency, warning once on stderr when it was lowered. 0 (meaning
  * "auto") passes through untouched. CLI-boundary only: library code and
- * tests may still oversubscribe deliberately (the worker pool handles
- * it correctly, just slowly), but a human typing --threads 32 on a
- * 1-core box is better served by the clamp than by thrashing.
+ * tests may still oversubscribe deliberately, but a human typing
+ * --threads 32 on a 1-core box is better served by the clamp than by
+ * thrashing.
  * @param flag_name Flag to name in the warning (e.g. "--threads").
  */
 unsigned clampThreadArg(unsigned requested, const char *flag_name);
-
-/** One CPU-friendly spin-wait step (pause/yield instruction). */
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__) || defined(__arm__)
-    asm volatile("yield");
-#endif
-}
-
-/** Fork/join pool running a fixed shard count per round. */
-class SmWorkerPool
-{
-  public:
-    /**
-     * @param threads Workers including the caller; clamped to
-     *     [1, shards]. 1 means "no helper threads".
-     * @param shards Shard indices passed to the job: [0, shards).
-     */
-    SmWorkerPool(unsigned threads, std::size_t shards);
-    ~SmWorkerPool();
-
-    SmWorkerPool(const SmWorkerPool &) = delete;
-    SmWorkerPool &operator=(const SmWorkerPool &) = delete;
-
-    /**
-     * Execute @p job(shard) for every shard and return once all
-     * completed (the join barrier). The calling thread works too. A
-     * throwing shard poisons only its worker's remaining shards; the
-     * first captured exception (lowest worker index) is rethrown here
-     * after the barrier, so failures surface exactly like they do from
-     * the serial loop.
-     */
-    void run(const std::function<void(std::size_t)> &job);
-
-    /** Effective worker count (after clamping). */
-    unsigned threads() const { return threads_; }
-
-  private:
-    void workerLoop(unsigned worker_index);
-    /** Run worker @p worker_index's shard share, capturing exceptions. */
-    void runShare(unsigned worker_index,
-                  const std::function<void(std::size_t)> &job);
-
-    unsigned threads_;
-    std::size_t shards_;
-    /**
-     * Spin iterations before yielding to the scheduler. Spinning only
-     * pays when every worker owns a core; on an oversubscribed box
-     * (threads > hardware_concurrency) a spinning waiter steals the
-     * quantum of the thread it is waiting for, so the pool yields
-     * immediately instead.
-     */
-    unsigned spinLimit_;
-    std::vector<std::thread> helpers_;
-
-    /** Round counter; release-incremented to publish job_. */
-    std::atomic<std::uint64_t> generation_{0};
-    /** Helpers still working this round; 0 = join barrier reached. */
-    std::atomic<unsigned> remaining_{0};
-    std::atomic<bool> stop_{false};
-    /** Job of the current round; valid while remaining_ > 0. */
-    const std::function<void(std::size_t)> *job_ = nullptr;
-    /** First exception per worker slot; drained by run(). */
-    std::vector<std::exception_ptr> errors_;
-};
 
 } // namespace lbsim

@@ -179,13 +179,13 @@ forEachStatField(Stats &s, Fn &&fn)
 /**
  * Fold one SM's statistics shard into the chip-level aggregate.
  *
- * The parallel tick engine gives every SM a private SimStats shard so
- * the SM phase writes no shared counter (DESIGN.md §13); this combines
- * a shard back into the aggregate bag. Every counter is summed except
- * monitoringPeriods and selectedLoads, which the Linebacker controller
- * writes with assignment semantics (full per-window counts, monotone
- * per SM) and which therefore fold as a max across shards. Implemented
- * over forEachStatField, so new counters are covered automatically.
+ * Every SM writes a private SimStats shard (Gpu::smStats); this
+ * combines a shard back into the aggregate bag. Every counter is summed
+ * except monitoringPeriods and selectedLoads, which the Linebacker
+ * controller writes with assignment semantics (full per-window counts,
+ * monotone per SM) and which therefore fold as a max across shards.
+ * Implemented over forEachStatField, so new counters are covered
+ * automatically.
  */
 void foldShardStats(SimStats &into, const SimStats &shard);
 

@@ -1,27 +1,19 @@
 /**
  * @file
  * Clang thread-safety capability annotations (the compile-time race
- * detector behind -Wthread-safety) plus the small annotated primitives
- * the simulator uses.
+ * detector behind -Wthread-safety) plus the annotated mutex the
+ * simulator uses.
  *
- * Two kinds of capability are declared with these macros:
- *
- *  - lbsim::Mutex / lbsim::MutexLock wrap std::mutex for state that is
- *    genuinely shared across threads today (the memo cache, the
- *    experiment engine's report path). Members tagged LB_GUARDED_BY a
- *    Mutex may only be touched while it is held; clang proves it.
- *
- *  - lbsim::SeqDomain / lbsim::SeqGuard are zero-cost capabilities for
- *    state that is single-threaded today but will sit behind the
- *    parallel 16-SM tick engine's sharding boundary (per-SM MSHRs, the
- *    backup engine, interconnect and DRAM queues). Guarding such state
- *    documents and enforces which methods form the component's tick
- *    domain; converting a SeqDomain to a real Mutex (or to one shard
- *    per thread) later is a type change, not an audit of every access.
+ * lbsim::Mutex / lbsim::MutexLock wrap std::mutex for the state that is
+ * shared across threads: the memo cache and the experiment engine's
+ * report path, where sweep cells run concurrently. Members tagged
+ * LB_GUARDED_BY a Mutex may only be touched while it is held; clang
+ * proves it. The cycle model itself is single-threaded (one serial SM
+ * loop per cycle, DESIGN.md §13), so it carries no capabilities.
  *
  * Under gcc, or under clang without thread-safety attributes, every
  * macro expands to nothing and the primitives cost exactly a
- * std::mutex (Mutex) or nothing at all (SeqDomain).
+ * std::mutex.
  */
 
 #pragma once
@@ -100,39 +92,6 @@ class LB_SCOPED_CAPABILITY MutexLock
 
   private:
     Mutex &m_;
-};
-
-/**
- * Zero-cost capability marking a single-threaded tick domain.
- *
- * Acquiring compiles to nothing; the value is purely static: clang
- * rejects any access to an LB_GUARDED_BY(domain_) member from a method
- * that neither holds a SeqGuard nor is LB_REQUIRES(domain_). The
- * parallel tick engine swaps SeqDomain for a real lock — or one domain
- * instance per shard — without re-auditing member accesses.
- */
-class LB_CAPABILITY("domain") SeqDomain
-{
-  public:
-    SeqDomain() = default;
-    SeqDomain(const SeqDomain &) = delete;
-    SeqDomain &operator=(const SeqDomain &) = delete;
-
-    void enter() LB_ACQUIRE() {}
-    void exit() LB_RELEASE() {}
-};
-
-/** RAII entry into a SeqDomain (compiles to nothing). */
-class LB_SCOPED_CAPABILITY SeqGuard
-{
-  public:
-    explicit SeqGuard(SeqDomain &d) LB_ACQUIRE(d) : d_(d) { d_.enter(); }
-    ~SeqGuard() LB_RELEASE() { d_.exit(); }
-    SeqGuard(const SeqGuard &) = delete;
-    SeqGuard &operator=(const SeqGuard &) = delete;
-
-  private:
-    SeqDomain &d_;
 };
 
 } // namespace lbsim

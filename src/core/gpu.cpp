@@ -1,7 +1,5 @@
 #include "core/gpu.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 #include "common/log.hpp"
 
@@ -33,11 +31,6 @@ Gpu::Gpu(const GpuConfig &cfg, const GpuBuildOptions &options)
     }
     controllers_.resize(sms_.size(), nullptr);
     smProgress_.resize(sms_.size(), 0);
-
-    const unsigned threads =
-        std::max<std::uint32_t>(1, std::min(cfg_.smThreads, cfg_.numSms));
-    pool_ = std::make_unique<SmWorkerPool>(threads, sms_.size());
-    smJob_ = [this](std::size_t s) { sms_[s]->tick(now_); };
 
     tickSkipEnabled_ = cfg_.tickSkip && !injector_.armed();
 }
@@ -149,29 +142,22 @@ Gpu::tick()
         partition->tick(now_);
     icnt_->tick(now_);
 
-    // Parallel SM phase: every SM shard ticks concurrently. A shard
-    // writes only its own SM state, its private stats shard, and its
-    // single-producer interconnect staging lane; the staged requests
-    // are drained in SM-index order at the barrier below, which is
-    // byte-for-byte the order the old serial loop produced. The staged
-    // path runs at every thread count (including 1), so results cannot
-    // depend on cfg.smThreads by construction.
-    icnt_->beginSmPhase();
-    pool_->run(smJob_);
+    // SM phase, in SM-index order: within one cycle the crossbar
+    // receives SM 0's requests (in program order), then SM 1's, ...
+    for (auto &sm : sms_)
+        sm->tick(now_);
 
-    // Serial boundary phase: barrier drain, CTA dispatch (controller
-    // callbacks here may send restores — they take the direct
-    // interconnect path), then the cross-cutting checks.
-    icnt_->drainStaged(now_);
+    // CTA dispatch (controller callbacks here may send restores), then
+    // the cross-cutting checks.
     if (dispatcher_)
         dispatcher_->tick(now_);
     if constexpr (checksEnabled(CheckLevel::Full)) {
         if (cfg_.auditStride != 0 && now_ % cfg_.auditStride == 0)
             audit();
     }
-    // Global progress = folded aggregate + unfolded shard deltas;
-    // numerically identical to the serial engine's feed. Doubles as
-    // the skip probe's quiet gate: only probe after a do-nothing tick.
+    // Global progress = folded aggregate + unfolded shard deltas.
+    // Doubles as the skip probe's quiet gate: only probe after a
+    // do-nothing tick.
     std::uint64_t issued = stats_.instructionsIssued;
     for (std::size_t s = 0; s < sms_.size(); ++s) {
         smProgress_[s] = sms_[s]->instructionsIssued();

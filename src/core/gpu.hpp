@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "core/cta_dispatcher.hpp"
 #include "core/kernel.hpp"
@@ -87,9 +86,8 @@ class Gpu
 
     /**
      * SM @p index's private statistics shard. Components that run
-     * inside an SM's tick domain (Sm internals, the per-SM Linebacker
-     * stack) must write here, never into stats(): the SM phase of the
-     * tick engine runs shards concurrently (DESIGN.md §13).
+     * inside an SM (Sm internals, the per-SM Linebacker stack) write
+     * here; stats() folds every shard into the chip aggregate.
      */
     SimStats &smStats(std::uint32_t index) { return smStats_[index]; }
 
@@ -145,9 +143,8 @@ class Gpu
     /** Chip-level aggregate: memory-side counters + folded SM shards. */
     SimStats stats_;
     /**
-     * One statistics shard per SM, written only by that SM's tick
-     * domain during the parallel SM phase. Sized once in the
-     * constructor and never resized — SMs hold pointers into it.
+     * One statistics shard per SM, written only by that SM. Sized once
+     * in the constructor and never resized — SMs hold pointers into it.
      */
     std::vector<SimStats> smStats_;
     FaultInjector injector_;
@@ -160,10 +157,6 @@ class Gpu
     HangReport hangReport_;
     /** Per-SM progress scratch fed to the watchdog each cycle. */
     std::vector<std::uint64_t> smProgress_;
-    /** Worker pool for the parallel SM phase (cfg.smThreads workers). */
-    std::unique_ptr<SmWorkerPool> pool_;
-    /** The per-shard job, built once to avoid per-cycle allocation. */
-    std::function<void(std::size_t)> smJob_;
     Cycle now_ = 0;
     Cycle measureStart_ = 0;
     /**

@@ -48,6 +48,8 @@ struct PerfPoint
     std::int64_t timestamp = 0; ///< Unix seconds at measurement.
     bool smoke = true;          ///< Smoke-sized sweep (CI) or full.
     std::uint32_t sms = 0;      ///< Simulated SM count.
+    /** SM-phase threads of the removed parallel tick engine (0 =
+     *  serial); kept so recorded v1 points parse. */
     std::uint32_t smThreads = 0;
     double totalCyclesPerSec = 0.0;
     double wallSec = 0.0;

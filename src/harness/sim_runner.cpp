@@ -71,10 +71,10 @@ describeApp(const AppProfile &app)
  * appear here: a sweep that mutates a non-keyed field would silently
  * return stale cache hits. The only deliberate exclusions are
  * GpuConfig::auditStride (debugging knob with no architectural effect),
- * GpuConfig::smThreads / RunnerOptions::smThreads and
- * GpuConfig::tickSkip (execution-engine knobs — results are
- * bit-identical at any thread count and with skipping on or off, which
- * the ParallelTick and TickSkip determinism tests enforce) and
+ * GpuConfig::tickSkip (execution-engine knob — results are
+ * bit-identical with skipping on or off, which the TickSkip
+ * equivalence tests enforce), GpuConfig::smThreads /
+ * RunnerOptions::smThreads (ignored fields no code reads) and
  * RunnerOptions::useMemoCache (meta).
  */
 std::string
@@ -286,8 +286,6 @@ SimRunner::runUncached(const AppProfile &app, const SchemeConfig &scheme)
         : baseCfg_;
     if (options_.maxCycles)
         cfg.maxCycles = options_.maxCycles;
-    if (options_.smThreads)
-        cfg.smThreads = options_.smThreads;
 
     const KernelInfo kernel = app.buildKernel(cfg);
 

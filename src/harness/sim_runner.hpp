@@ -95,10 +95,8 @@ struct RunnerOptions
      */
     Cycle maxCycles = 1000000;
     /**
-     * Worker threads for the parallel SM phase of the tick engine; 0
-     * keeps cfg.smThreads (i.e. serial). Results are bit-identical for
-     * every value (DESIGN.md §13), so like the execution-only knobs it
-     * is not part of the memo-cache key.
+     * Ignored; assigned by the frozen benchmark harness. No code reads
+     * this field, and it is not part of the memo-cache key.
      */
     std::uint32_t smThreads = 0;
     /** Memoize results in buildDir/simcache.csv. */

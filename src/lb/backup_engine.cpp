@@ -22,7 +22,6 @@ BackupEngine::BackupEngine(const GpuConfig &gpu, const LbConfig &lb,
 bool
 BackupEngine::busy() const
 {
-    SeqGuard guard(domain_);
     if (!pendingLines_.empty() || !buffer_.empty() ||
         !pendingRestores_.empty()) {
         return true;
@@ -41,7 +40,6 @@ BackupEngine::startBackup(std::uint32_t cta_hw_id, RegNum first_reg,
                           std::uint32_t num_regs, Addr backup_addr,
                           Cycle now)
 {
-    SeqGuard guard(domain_);
     (void)now;
     Job job;
     job.linesTotal = num_regs;
@@ -60,7 +58,6 @@ BackupEngine::startRestore(std::uint32_t cta_hw_id, RegNum first_reg,
                            std::uint32_t num_regs, Addr backup_addr,
                            Cycle now)
 {
-    SeqGuard guard(domain_);
     (void)now;
     Job job;
     job.linesTotal = num_regs;
@@ -77,7 +74,6 @@ BackupEngine::startRestore(std::uint32_t cta_hw_id, RegNum first_reg,
 bool
 BackupEngine::backupComplete(std::uint32_t cta_hw_id) const
 {
-    SeqGuard guard(domain_);
     const auto it = jobs_.find(cta_hw_id);
     return it != jobs_.end() && it->second.isBackup && it->second.done();
 }
@@ -85,7 +81,6 @@ BackupEngine::backupComplete(std::uint32_t cta_hw_id) const
 bool
 BackupEngine::restoreComplete(std::uint32_t cta_hw_id) const
 {
-    SeqGuard guard(domain_);
     const auto it = jobs_.find(cta_hw_id);
     return it != jobs_.end() && !it->second.isBackup && it->second.done();
 }
@@ -93,14 +88,12 @@ BackupEngine::restoreComplete(std::uint32_t cta_hw_id) const
 void
 BackupEngine::clearJob(std::uint32_t cta_hw_id)
 {
-    SeqGuard guard(domain_);
     jobs_.erase(cta_hw_id);
 }
 
 void
 BackupEngine::tick(Cycle now)
 {
-    SeqGuard guard(domain_);
     // An injected staging-buffer stall freezes both the fill and drain
     // stages for the cycle; in-flight state is untouched, so the
     // transfer resumes exactly where it stopped once the window closes.
@@ -150,7 +143,6 @@ BackupEngine::tick(Cycle now)
 void
 BackupEngine::onResponse(const MemResponse &response, Cycle now)
 {
-    SeqGuard guard(domain_);
     (void)now;
     auto it = pendingRestores_.find(response.lineAddr);
     if (it == pendingRestores_.end())
@@ -165,7 +157,6 @@ BackupEngine::onResponse(const MemResponse &response, Cycle now)
 void
 BackupEngine::audit(Cycle now) const
 {
-    SeqGuard guard(domain_);
     (void)now;
     StateDumpScope dump([this] { return debugString(); });
 
@@ -217,7 +208,6 @@ BackupEngine::audit(Cycle now) const
 std::string
 BackupEngine::debugString() const
 {
-    SeqGuard guard(domain_);
     char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "BackupEngine: %zu queued, %zu/%u buffered, %zu "
@@ -239,7 +229,6 @@ void
 BackupEngine::tamperJobForTest(std::uint32_t cta_hw_id,
                                std::uint32_t delta)
 {
-    SeqGuard guard(domain_);
     jobs_[cta_hw_id].linesTotal += delta;
 }
 

@@ -21,7 +21,6 @@
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
-#include "common/thread_safety.hpp"
 #include "common/types.hpp"
 #include "mem/interconnect.hpp"
 
@@ -79,7 +78,6 @@ class BackupEngine : public ResponseSinkIf
     std::uint32_t
     stagingOccupancy() const
     {
-        SeqGuard guard(domain_);
         return static_cast<std::uint32_t>(buffer_.size());
     }
 
@@ -87,7 +85,6 @@ class BackupEngine : public ResponseSinkIf
     std::uint32_t
     stagingBacklog() const
     {
-        SeqGuard guard(domain_);
         return static_cast<std::uint32_t>(pendingLines_.size());
     }
 
@@ -120,21 +117,13 @@ class BackupEngine : public ResponseSinkIf
     LbConfig lb_;
     Sm *sm_;
     SimStats *stats_;
-    /**
-     * Tick domain of the engine's queues and job table. The backup
-     * engine is per-SM state: under the parallel tick engine it lives
-     * inside that SM's shard, and the capability marks every access the
-     * shard boundary covers.
-     */
-    mutable SeqDomain domain_;
     /** Lines waiting for a staging-buffer slot. */
-    std::deque<Transfer> pendingLines_ LB_GUARDED_BY(domain_);
+    std::deque<Transfer> pendingLines_;
     /** Staging buffer contents (bounded by lb_.backupBufferEntries). */
-    std::deque<Transfer> buffer_ LB_GUARDED_BY(domain_);
-    std::unordered_map<std::uint32_t, Job> jobs_ LB_GUARDED_BY(domain_);
+    std::deque<Transfer> buffer_;
+    std::unordered_map<std::uint32_t, Job> jobs_;
     /** Restore responses outstanding: memAddr -> cta. */
-    std::unordered_map<Addr, std::uint32_t> pendingRestores_
-        LB_GUARDED_BY(domain_);
+    std::unordered_map<Addr, std::uint32_t> pendingRestores_;
 };
 
 } // namespace lbsim

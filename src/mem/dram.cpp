@@ -40,7 +40,6 @@ DramChannel::rowOf(Addr line_addr) const
 void
 DramChannel::enqueue(const DramCommand &cmd, Cycle now, Cycle available)
 {
-    SeqGuard guard(domain_);
     DramCommand queued = cmd;
     queued.enqueued = now;
     queued.available = std::max(now, available);
@@ -55,8 +54,6 @@ DramChannel::enqueue(const DramCommand &cmd, Cycle now, Cycle available)
 void
 DramChannel::tick(Cycle now)
 {
-    SeqGuard guard(domain_);
-
     // Issue a burst of commands per core cycle so bank activations
     // overlap: while one bank precharges/activates, other banks' commands
     // can be scheduled. The last burst slot prefers a row miss so the
@@ -185,7 +182,6 @@ DramChannel::issueOne(Cycle now, bool prefer_miss)
 void
 DramChannel::drainCompleted(Cycle now, std::vector<DramCompletion> &out)
 {
-    SeqGuard guard(domain_);
     if (now < minDone_)
         return; // Exact min: nothing can have finished yet.
     // Completions were issued in service order but may finish out of
@@ -211,7 +207,6 @@ DramChannel::drainCompleted(Cycle now, std::vector<DramCompletion> &out)
 Cycle
 DramChannel::nextEventCycle(Cycle now) const
 {
-    SeqGuard guard(domain_);
     Cycle bound = kNoCycle;
     // A queued command acts at max(issueReadyAt_, now) — provided a
     // scheduled_ slot is free. issueReadyAt_ is a conservative lower

@@ -16,7 +16,6 @@
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
-#include "common/thread_safety.hpp"
 #include "mem/request.hpp"
 
 namespace lbsim
@@ -52,7 +51,6 @@ class DramChannel
     bool
     canAccept() const
     {
-        SeqGuard guard(domain_);
         return queue_.size() < cfg_.dramQueueDepth;
     }
 
@@ -75,7 +73,6 @@ class DramChannel
     std::uint32_t
     queueDepth() const
     {
-        SeqGuard guard(domain_);
         return static_cast<std::uint32_t>(queue_.size());
     }
 
@@ -101,7 +98,6 @@ class DramChannel
     std::uint64_t
     freeEpoch() const
     {
-        SeqGuard guard(domain_);
         return freeEpoch_;
     }
 
@@ -115,30 +111,24 @@ class DramChannel
     std::uint32_t bankOf(Addr line_addr) const;
     std::uint64_t rowOf(Addr line_addr) const;
     /** @return false when nothing in the window was serviceable. */
-    bool issueOne(Cycle now, bool prefer_miss) LB_REQUIRES(domain_);
+    bool issueOne(Cycle now, bool prefer_miss);
 
     const GpuConfig &cfg_;
     SimStats *stats_;
-    /**
-     * Tick domain of the channel's queues and bank timing state. Each
-     * DRAM channel stays a single shard under the parallel tick engine;
-     * the capability marks exactly the state that shard owns.
-     */
-    mutable SeqDomain domain_;
-    std::deque<DramCommand> queue_ LB_GUARDED_BY(domain_);
-    std::deque<DramCompletion> completed_ LB_GUARDED_BY(domain_);
-    std::vector<std::uint64_t> openRow_ LB_GUARDED_BY(domain_);
-    std::vector<bool> rowValid_ LB_GUARDED_BY(domain_);
+    std::deque<DramCommand> queue_;
+    std::deque<DramCompletion> completed_;
+    std::vector<std::uint64_t> openRow_;
+    std::vector<bool> rowValid_;
     /** Next read slot per bank. */
-    std::vector<double> bankBusy_ LB_GUARDED_BY(domain_);
+    std::vector<double> bankBusy_;
     /** Next activation slot (tRC). */
-    std::vector<Cycle> bankActivate_ LB_GUARDED_BY(domain_);
+    std::vector<Cycle> bankActivate_;
     /** Issued but not yet completed. */
-    std::uint32_t scheduled_ LB_GUARDED_BY(domain_) = 0;
+    std::uint32_t scheduled_ = 0;
     /** Bumped on every queue_ pop; see freeEpoch(). */
-    std::uint64_t freeEpoch_ LB_GUARDED_BY(domain_) = 0;
+    std::uint64_t freeEpoch_ = 0;
     /** Next instant the data bus is idle. */
-    double busFree_ LB_GUARDED_BY(domain_) = 0;
+    double busFree_ = 0;
     double busCyclesPerLine_;    ///< Data-bus occupancy per 128 B line.
 
     /**
@@ -151,14 +141,14 @@ class DramChannel
      * reordered issue, so every pick is bit-identical to the unskipped
      * scan sequence.
      */
-    Cycle issueReadyAt_ LB_GUARDED_BY(domain_) = 0;
+    Cycle issueReadyAt_ = 0;
     /**
      * Exact minimum `done` cycle over completed_ (kNoCycle when
      * empty): drainCompleted() is a no-op before it, and
      * nextEventCycle() reads it instead of walking the deque. Kept
      * exact: min-updated on push, recomputed during every drain scan.
      */
-    Cycle minDone_ LB_GUARDED_BY(domain_) = kNoCycle;
+    Cycle minDone_ = kNoCycle;
 };
 
 } // namespace lbsim

@@ -16,7 +16,7 @@ Interconnect::Interconnect(const GpuConfig &cfg, SimStats *stats,
       partitions_(cfg.numMemPartitions, nullptr),
       sinks_(cfg.numSms, nullptr),
       maxInFlightPerSm_(cfg.l1MshrEntries + cfg.dramQueueDepth),
-      inFlightPerSm_(cfg.numSms, 0), lanes_(cfg.numSms),
+      inFlightPerSm_(cfg.numSms, 0),
       retrySkip_(fi == nullptr || !fi->armed()),
       parks_(cfg.numMemPartitions), ledger_(cfg.numSms)
 {
@@ -42,22 +42,7 @@ Interconnect::attachSm(std::uint32_t sm_id, ResponseSinkIf *sink)
 bool
 Interconnect::canAcceptRequest(std::uint32_t sm_id) const
 {
-    std::size_t pending = 0;
-    {
-        // Read-only during the SM phase: inFlightPerSm_ only mutates in
-        // the serial phases, so concurrent shard reads are safe.
-        SeqGuard guard(domain_);
-        pending = inFlightPerSm_[sm_id];
-    }
-    if (smPhase_) {
-        // Staged-but-undrained requests consume crossbar credit exactly
-        // like the direct path's immediate counter increment did, so
-        // same-cycle backpressure is unchanged.
-        const Lane &lane = lanes_[sm_id];
-        SeqGuard guard(lane.domain);
-        pending += lane.staged.size();
-    }
-    return pending < maxInFlightPerSm_;
+    return inFlightPerSm_[sm_id] < maxInFlightPerSm_;
 }
 
 void
@@ -67,23 +52,6 @@ Interconnect::sendRequest(const MemRequest &req, Cycle now)
               "request from out-of-range SM %u", req.smId);
     LB_ASSERT(req.lineAddr != kNoAddr,
               "request with sentinel address from SM %u", req.smId);
-    if (smPhase_) {
-        // SM phase: stage into the sender's own lane; the ledger issue
-        // event is deferred to the barrier drain (the ledger is shared
-        // serial-phase state). @p now is the same cycle drainStaged()
-        // will run with, so arrival timing is unaffected.
-        Lane &lane = lanes_[req.smId];
-        SeqGuard guard(lane.domain);
-        lane.staged.push_back(req);
-        return;
-    }
-    SeqGuard guard(domain_);
-    enqueueRequest(req, now);
-}
-
-void
-Interconnect::enqueueRequest(const MemRequest &req, Cycle now)
-{
     ledger_.onIssue(req, now);
     ++inFlightPerSm_[req.smId];
     const Cycle arrival = now + cfg_.icntLatency;
@@ -95,33 +63,8 @@ Interconnect::enqueueRequest(const MemRequest &req, Cycle now)
 }
 
 void
-Interconnect::beginSmPhase()
-{
-    smPhase_ = true;
-}
-
-void
-Interconnect::drainStaged(Cycle now)
-{
-    smPhase_ = false;
-    SeqGuard guard(domain_);
-    // SM-index order reproduces the serial engine's enqueue order: the
-    // old loop ticked SMs 0..N-1 in turn, so within one cycle the shared
-    // queue received SM 0's requests (in program order), then SM 1's,
-    // and so on — exactly what draining lane 0, then lane 1, ... yields.
-    for (Lane &lane : lanes_) {
-        SeqGuard lane_guard(lane.domain);
-        while (!lane.staged.empty()) {
-            enqueueRequest(lane.staged.front(), now);
-            lane.staged.pop_front();
-        }
-    }
-}
-
-void
 Interconnect::sendResponse(const MemResponse &resp, Cycle now)
 {
-    SeqGuard guard(domain_);
     LB_ASSERT(resp.smId < sinks_.size(),
               "response for out-of-range SM %u", resp.smId);
     const Cycle extra = fi_ ? fi_->icntResponseDelay(now) : 0;
@@ -134,7 +77,6 @@ Interconnect::sendResponse(const MemResponse &resp, Cycle now)
 void
 Interconnect::tick(Cycle now)
 {
-    SeqGuard guard(domain_);
     // Deliver requests whose hop latency elapsed; a full partition queue
     // stalls that request (and, FIFO, those behind it). The loop
     // compacts retained entries in place, preserving FIFO order — the
@@ -285,7 +227,6 @@ Interconnect::tick(Cycle now)
 Cycle
 Interconnect::nextEventCycle(Cycle now) const
 {
-    SeqGuard guard(domain_);
     if (!retrySkip_)
         return now; // Armed injector: every attempt must really happen.
     // reqNextArrival_ bounds every entry that has not been attempted
@@ -304,7 +245,6 @@ Interconnect::nextEventCycle(Cycle now) const
 void
 Interconnect::applySkippedCycles(std::uint64_t cycles)
 {
-    SeqGuard guard(domain_);
     for (InFlightRequest &entry : requests_) {
         if (entry.block != RetryBlock::L2)
             continue;
@@ -324,7 +264,6 @@ Interconnect::applySkippedCycles(std::uint64_t cycles)
 void
 Interconnect::audit(Cycle now) const
 {
-    SeqGuard guard(domain_);
     StateDumpScope dump([this] { return debugString(); });
 
     // The per-SM in-flight counter tracks exactly the requests still
@@ -393,14 +332,6 @@ Interconnect::audit(Cycle now) const
                  p, static_cast<unsigned long long>(parks_[p].l2Epoch),
                  static_cast<unsigned long long>(expect[p].l2Epoch));
     }
-    LB_AUDIT(!smPhase_, "audit must run in a serial phase");
-    for (const Lane &lane : lanes_) {
-        SeqGuard lane_guard(lane.domain);
-        LB_AUDIT(lane.staged.empty(),
-                 "%zu staged requests left in a lane outside the SM "
-                 "phase (barrier drain missed)",
-                 lane.staged.size());
-    }
     for (const InFlightResponse &entry : responses_) {
         LB_AUDIT(entry.resp.smId < sinks_.size() &&
                      sinks_[entry.resp.smId] != nullptr,
@@ -416,7 +347,6 @@ Interconnect::audit(Cycle now) const
 void
 Interconnect::auditDrained() const
 {
-    SeqGuard guard(domain_);
     StateDumpScope dump([this] { return debugString(); });
     LB_AUDIT(requests_.empty(),
              "%zu requests still queued after the grid drained",
@@ -424,19 +354,12 @@ Interconnect::auditDrained() const
     LB_AUDIT(responses_.empty(),
              "%zu responses still queued after the grid drained",
              responses_.size());
-    for (const Lane &lane : lanes_) {
-        SeqGuard lane_guard(lane.domain);
-        LB_AUDIT(lane.staged.empty(),
-                 "%zu staged requests left after the grid drained",
-                 lane.staged.size());
-    }
     ledger_.auditDrained();
 }
 
 std::string
 Interconnect::debugString() const
 {
-    SeqGuard guard(domain_);
     char buf[128];
     std::snprintf(buf, sizeof(buf),
                   "Interconnect: %zu queued requests, %zu queued "

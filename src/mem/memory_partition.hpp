@@ -18,7 +18,6 @@
 #include "common/config.hpp"
 #include "common/flat_map.hpp"
 #include "common/stats.hpp"
-#include "common/thread_safety.hpp"
 #include "mem/dram.hpp"
 #include "mem/l2_cache.hpp"
 #include "mem/request.hpp"
@@ -77,7 +76,6 @@ class MemoryPartition
     std::uint64_t
     l2Epoch() const
     {
-        SeqGuard guard(domain_);
         return l2Epoch_;
     }
 
@@ -134,8 +132,7 @@ class MemoryPartition
         RequestKind kind;
     };
 
-    void respond(const PendingRead &read, Cycle ready)
-        LB_REQUIRES(domain_);
+    void respond(const PendingRead &read, Cycle ready);
 
     const GpuConfig &cfg_;
     std::uint32_t id_;
@@ -144,20 +141,13 @@ class MemoryPartition
     FaultInjector *fi_;
     L2Slice l2_;
     DramChannel dram_;
-    /**
-     * Tick domain of the partition's pending-read table. Partitions are
-     * natural shards for the parallel tick engine (one per channel);
-     * the capability marks the state each shard owns.
-     */
-    mutable SeqDomain domain_;
-    std::uint64_t nextReadId_ LB_GUARDED_BY(domain_) = 1;
+    std::uint64_t nextReadId_ = 1;
     /** Bumped per tick that completed at least one L2 fill. */
-    std::uint64_t l2Epoch_ LB_GUARDED_BY(domain_) = 0;
-    FlatMap<std::uint64_t, PendingRead> pendingReads_
-        LB_GUARDED_BY(domain_);
+    std::uint64_t l2Epoch_ = 0;
+    FlatMap<std::uint64_t, PendingRead> pendingReads_;
     /** Reused per-tick buffers; tick() is hot and must not allocate. */
-    std::vector<DramCompletion> doneScratch_ LB_GUARDED_BY(domain_);
-    std::vector<std::uint64_t> waiterScratch_ LB_GUARDED_BY(domain_);
+    std::vector<DramCompletion> doneScratch_;
+    std::vector<std::uint64_t> waiterScratch_;
 };
 
 } // namespace lbsim

@@ -155,10 +155,8 @@ FaultInjector::windowActive(FaultKind kind, Cycle now,
         if (magnitude_sum)
             *magnitude_sum += event.magnitude;
     }
-    if (active) {
-        fired_[static_cast<std::uint32_t>(kind)].fetch_add(
-            1, std::memory_order_relaxed);
-    }
+    if (active)
+        ++fired_[static_cast<std::uint32_t>(kind)];
     return active;
 }
 
@@ -203,9 +201,6 @@ FaultInjector::takeVttRevoke(Cycle now, std::uint32_t sm_id)
 {
     for (std::size_t i = 0; i < plan_.events.size(); ++i) {
         const FaultEvent &event = plan_.events[i];
-        // The target-SM filter comes before the consumed check so that
-        // only sm_id's tick shard ever reads or writes consumed_[i] —
-        // the single-owner rule the parallel SM phase relies on.
         if (event.kind != FaultKind::VttRevoke ||
             event.magnitude != sm_id) {
             continue;
@@ -215,8 +210,7 @@ FaultInjector::takeVttRevoke(Cycle now, std::uint32_t sm_id)
         if (now < event.start || now >= event.start + event.duration)
             continue;
         consumed_[i] = 1;
-        fired_[static_cast<std::uint32_t>(FaultKind::VttRevoke)]
-            .fetch_add(1, std::memory_order_relaxed);
+        ++fired_[static_cast<std::uint32_t>(FaultKind::VttRevoke)];
         return true;
     }
     return false;
@@ -234,8 +228,8 @@ std::uint64_t
 FaultInjector::totalFired() const
 {
     std::uint64_t total = 0;
-    for (const auto &count : fired_)
-        total += count.load(std::memory_order_relaxed);
+    for (const std::uint64_t count : fired_)
+        total += count;
     return total;
 }
 
@@ -245,8 +239,7 @@ FaultInjector::summary() const
     std::string out;
     char buf[96];
     for (std::uint32_t k = 0; k < kFaultKindCount; ++k) {
-        const std::uint64_t count =
-            fired_[k].load(std::memory_order_relaxed);
+        const std::uint64_t count = fired_[k];
         if (count == 0)
             continue;
         std::snprintf(buf, sizeof(buf), "%s fired %llu times\n",

@@ -41,7 +41,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -152,9 +151,7 @@ class FaultInjector
      * Consume one pending VttRevoke event whose window covers @p now
      * and whose magnitude names @p sm_id as the target SM. Call only
      * when revocation can actually be applied; an unconsumed event
-     * stays pending for the rest of its window. Because each event is
-     * bound to one SM, only that SM's tick shard ever touches the
-     * event's consumed slot — safe under the parallel SM phase.
+     * stays pending for the rest of its window.
      */
     bool takeVttRevoke(Cycle now, std::uint32_t sm_id);
 
@@ -167,8 +164,7 @@ class FaultInjector
     /** Hook observations of an active fault, per kind. */
     std::uint64_t firedCount(FaultKind kind) const
     {
-        return fired_[static_cast<std::uint32_t>(kind)].load(
-            std::memory_order_relaxed);
+        return fired_[static_cast<std::uint32_t>(kind)];
     }
 
     /** Total hook observations across all kinds. */
@@ -182,20 +178,10 @@ class FaultInjector
                       std::uint64_t *magnitude_sum);
 
     FaultPlan plan_;
-    /**
-     * Parallel to plan_.events; marks consumed one-shot events. One
-     * byte per event (not vector<bool>: its bit-packing would let two
-     * SM shards race on one word) and each slot is written only by the
-     * event's target SM.
-     */
+    /** Parallel to plan_.events; marks consumed one-shot events. */
     std::vector<std::uint8_t> consumed_;
-    /**
-     * Atomic because window queries run inside the parallel SM phase
-     * (BackupStall, LoadMonitorLie, VttRevoke). Relaxed increments
-     * suffice: per-SM query counts are themselves deterministic, so the
-     * summed totals are too.
-     */
-    std::array<std::atomic<std::uint64_t>, kFaultKindCount> fired_{};
+    /** Hook observations of an active fault, per kind. */
+    std::array<std::uint64_t, kFaultKindCount> fired_{};
 };
 
 } // namespace lbsim

@@ -4,7 +4,8 @@
 The exit codes are API: scripts and CI jobs branch on them, so they are
 pinned here end-to-end against the real binary.
 
-  lbsim_cli:  0 ok, 1 rejected flag (with a one-line message),
+  lbsim_cli:  0 ok, 1 rejected or unknown flag (with a one-line
+              message),
               3 watchdog trip (with a parseable JSON hang report next
               to it)
 
@@ -67,18 +68,42 @@ def test_cli_ok_exit_code(cli, tmp):
 
 
 def test_cli_rejects_bad_flags(cli):
-    """An out-of-range flag exits 1 with a one-line message, never a panic."""
+    """A bad or unknown flag exits 1 with a one-line message naming it,
+    before any simulation runs, never a panic or a silent default."""
     for flag, value in (("--l1-kb", "0"), ("--sms", "0"),
-                        ("--l1-kb", "5000000")):
+                        ("--l1-kb", "5000000"),
+                        ("--cycles", "abc"), ("--warmup", "1e5"),
+                        ("--timeout-cycles", "-1"), ("--warp-limit", "0"),
+                        ("--threads", "4x"),
+                        ("--bogus-flag", "3"),
+                        # The removed parallel SM engine's flag is now
+                        # just an unknown flag, not a silent no-op.
+                        ("--sm-threads", "4")):
+        base = {"--warmup": "0", "--cycles": "1000"}
+        base.pop(flag, None)
         proc = run([
             cli, "--app", "S2", "--scheme", "baseline", flag, value,
-            "--warmup", "0", "--cycles", "1000", "--no-cache",
+            *(arg for item in base.items() for arg in item), "--no-cache",
         ])
         lines = proc.stderr.strip().splitlines()
         check(f"cli {flag} {value} exits 1", proc.returncode == 1,
               f"rc={proc.returncode} stderr={proc.stderr[-400:]}")
         check(f"cli {flag} {value} explains itself in one line",
               len(lines) == 1 and flag in lines[0], proc.stderr[-400:])
+
+
+def test_cli_rejects_repeated_flag(cli):
+    """Only a flag's first occurrence is read, so a second one exits 1
+    instead of being silently ignored."""
+    proc = run([
+        cli, "--app", "S2", "--scheme", "baseline", "--warmup", "0",
+        "--cycles", "1000", "--cycles", "abc", "--no-cache",
+    ])
+    lines = proc.stderr.strip().splitlines()
+    check("cli repeated --cycles exits 1", proc.returncode == 1,
+          f"rc={proc.returncode} stderr={proc.stderr[-400:]}")
+    check("cli repeated --cycles explains itself in one line",
+          len(lines) == 1 and "--cycles" in lines[0], proc.stderr[-400:])
 
 
 def main():
@@ -92,6 +117,7 @@ def main():
         test_cli_ok_exit_code(cli, tmp)
         test_cli_hang_exit_code(cli, tmp)
         test_cli_rejects_bad_flags(cli)
+        test_cli_rejects_repeated_flag(cli)
     if FAILURES:
         print(f"{len(FAILURES)} check(s) failed: {', '.join(FAILURES)}")
         return 1

@@ -1,7 +1,7 @@
 // Fixture: raw concurrency primitives the lbsim-cross-domain check
-// must flag. Model code may synchronize only at the annotated
-// interconnect barrier (DESIGN.md §13); ad-hoc std:: primitives
-// reintroduce thread-count dependence that -Wthread-safety cannot see.
+// must flag. The model is single-threaded (DESIGN.md §13) and
+// parallelism lives across sweep cells; an ad-hoc std:: primitive in
+// model code would make results depend on thread scheduling.
 
 #include <atomic>
 #include <future>

@@ -1,8 +1,8 @@
 // Fixture: model-style code with no raw concurrency primitives; the
-// lbsim-cross-domain check must stay silent. Cross-SM traffic goes
-// through explicit per-SM staging lanes drained in SM-index order at
-// the serial barrier, so the model never touches std::thread or
-// std::atomic — the engine's worker pool lives outside model dirs.
+// lbsim-cross-domain check must stay silent. The model is
+// single-threaded: per-SM queues are plain containers drained in
+// SM-index order, and parallelism lives across sweep cells in the
+// experiment engine, outside the model dirs.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,13 +20,13 @@ class StagingLanes
   public:
     explicit StagingLanes(std::size_t sms) : lanes_(sms) {}
 
-    /** SM phase: each SM appends only to its own lane. */
+    /** Each SM appends only to its own lane. */
     void stage(const StagedRequest &req)
     {
         lanes_[req.smId].push_back(req);
     }
 
-    /** Serial phase: drain lanes in SM-index order at the barrier. */
+    /** Drain lanes in SM-index order. */
     std::vector<StagedRequest> drainInOrder()
     {
         std::vector<StagedRequest> drained;

@@ -26,30 +26,11 @@ class BadCounter
     int value_ LB_GUARDED_BY(mu_) = 0;
 };
 
-// Staging lane accessed outside its domain: the SM phase writing a
-// lane without entering its SeqDomain is exactly the race the
-// parallel tick engine's annotations exist to reject.
-class BadStagingLane
-{
-  public:
-    void
-    stageUnguarded(int request)
-    {
-        staged_ = request; // lane written without SeqGuard(domain_)
-    }
-
-  private:
-    mutable lbsim::SeqDomain domain_;
-    int staged_ LB_GUARDED_BY(domain_) = 0;
-};
-
 int
 main()
 {
     BadCounter counter;
     counter.incrementUnlocked();
     counter.lockWithoutUnlock();
-    BadStagingLane lane;
-    lane.stageUnguarded(2);
     return 0;
 }

@@ -54,8 +54,6 @@ usage()
         "  --list               list the 20 Table-2 applications\n"
         "  --warp-limit <n>     static warp limit for best-swl\n"
         "  --sms <n>            SMs to simulate (default 2, scaled chip)\n"
-        "  --sm-threads <n>     worker threads for the parallel SM tick\n"
-        "                       phase (default 1; bit-identical results)\n"
         "  --cycles <n>         measured cycles (default 400000)\n"
         "  --warmup <n>         warm-up cycles (default 200000)\n"
         "  --l1-kb <n>          L1 size in KB (default 48)\n"
@@ -77,6 +75,53 @@ arg(int argc, char **argv, const char *name)
             return argv[i + 1];
     }
     return nullptr;
+}
+
+/**
+ * Reject any argument that is not a known flag (or a known flag's
+ * value), and any flag given twice, with a one-line message: a mistyped
+ * or repeated flag must not run a simulation that silently ignores it
+ * (only a flag's first occurrence is ever read).
+ */
+bool
+checkKnownFlags(int argc, char **argv)
+{
+    static const char *const kValued[] = {
+        "--app", "--scheme", "--warp-limit", "--sms", "--cycles",
+        "--warmup", "--l1-kb", "--threads", "--fault-plan",
+        "--hang-report", "--timeout-cycles"};
+    static const char *const kBare[] = {"--list", "--help", "--no-cache",
+                                        "--csv"};
+    auto known = [](const char *a, const auto &names) {
+        for (const char *name : names) {
+            if (std::strcmp(a, name) == 0)
+                return true;
+        }
+        return false;
+    };
+    std::vector<const char *> seen;
+    for (int i = 1; i < argc; ++i) {
+        const char *a = argv[i];
+        if (known(a, seen)) {
+            std::fprintf(stderr, "%s: given more than once\n", a);
+            return false;
+        }
+        seen.push_back(a);
+        if (known(a, kValued)) {
+            if (i + 1 == argc) {
+                std::fprintf(stderr, "%s: missing value\n", a);
+                return false;
+            }
+            ++i;
+        } else if (std::strcmp(a, "--json") == 0) {
+            if (i + 1 < argc && argv[i + 1][0] != '-')
+                ++i; // Optional path.
+        } else if (!known(a, kBare)) {
+            std::fprintf(stderr, "unknown argument '%s' (see --help)\n", a);
+            return false;
+        }
+    }
+    return true;
 }
 
 bool
@@ -160,6 +205,8 @@ main(int argc, char **argv)
         usage();
         return argc < 2 ? 1 : 0;
     }
+    if (!checkKnownFlags(argc, argv))
+        return 1;
     if (flag(argc, argv, "--list")) {
         for (const AppProfile &app : benchmarkSuite()) {
             std::printf("%-4s %-11s %s\n", app.id.c_str(),
@@ -178,6 +225,10 @@ main(int argc, char **argv)
 
     constexpr std::uint64_t kU32Max =
         std::numeric_limits<std::uint32_t>::max();
+    // Cycle counts are summed (warm-up + measured + skip targets), so
+    // cap them far below Cycle overflow; 2^40 cycles is weeks of host
+    // time.
+    constexpr std::uint64_t kCycleMax = std::uint64_t{1} << 40;
     GpuConfig cfg;
     if (const char *v = arg(argc, argv, "--l1-kb")) {
         // The byte count must fit the uint32_t geometry field.
@@ -187,10 +238,16 @@ main(int argc, char **argv)
         cfg.l1.sizeBytes = static_cast<std::uint32_t>(kb * 1024);
     }
     cfg.warmupCycles = 200000;
-    if (const char *v = arg(argc, argv, "--warmup"))
-        cfg.warmupCycles = std::strtoull(v, nullptr, 10);
-    if (const char *v = arg(argc, argv, "--timeout-cycles"))
-        cfg.watchdogCycles = std::strtoull(v, nullptr, 10);
+    if (const char *v = arg(argc, argv, "--warmup")) {
+        if (!parseBounded("--warmup", v, 0, kCycleMax, cfg.warmupCycles))
+            return 1;
+    }
+    if (const char *v = arg(argc, argv, "--timeout-cycles")) {
+        // 0 disables the watchdog.
+        if (!parseBounded("--timeout-cycles", v, 0, kCycleMax,
+                          cfg.watchdogCycles))
+            return 1;
+    }
 
     RunnerOptions options;
     options.simSms = 2;
@@ -201,12 +258,10 @@ main(int argc, char **argv)
             return 1;
         options.simSms = static_cast<std::uint32_t>(sms);
     }
-    if (const char *v = arg(argc, argv, "--sm-threads"))
-        options.smThreads = clampThreadArg(
-            static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10)),
-            "--sm-threads");
-    if (const char *v = arg(argc, argv, "--cycles"))
-        options.maxCycles = std::strtoull(v, nullptr, 10);
+    if (const char *v = arg(argc, argv, "--cycles")) {
+        if (!parseBounded("--cycles", v, 1, kCycleMax, options.maxCycles))
+            return 1;
+    }
     options.useMemoCache = !flag(argc, argv, "--no-cache");
 
     if (const char *v = arg(argc, argv, "--fault-plan")) {
@@ -233,9 +288,13 @@ main(int argc, char **argv)
 
     const std::string name = scheme_name;
     std::uint32_t warp_limit = 0;
-    if (const char *v = arg(argc, argv, "--warp-limit"))
-        warp_limit = static_cast<std::uint32_t>(
-            std::strtoul(v, nullptr, 10));
+    if (const char *v = arg(argc, argv, "--warp-limit")) {
+        // A limit at or above the SM's warp slots limits nothing.
+        std::uint64_t limit = 0;
+        if (!parseBounded("--warp-limit", v, 1, cfg.maxWarpsPerSm, limit))
+            return 1;
+        warp_limit = static_cast<std::uint32_t>(limit);
+    }
     SchemeConfig scheme;
     bool oracle_swl = false;
     if (!schemeByName(name, warp_limit, scheme, oracle_swl)) {
@@ -260,10 +319,14 @@ main(int argc, char **argv)
     }
 
     EngineOptions engine_opts;
-    if (const char *v = arg(argc, argv, "--threads"))
+    if (const char *v = arg(argc, argv, "--threads")) {
+        // 0 means one worker per hardware thread.
+        std::uint64_t threads = 0;
+        if (!parseBounded("--threads", v, 0, kU32Max, threads))
+            return 1;
         engine_opts.threads = clampThreadArg(
-            static_cast<unsigned>(std::strtoul(v, nullptr, 10)),
-            "--threads");
+            static_cast<unsigned>(threads), "--threads");
+    }
     engine_opts.printProgress = apps.size() > 1;
     const std::vector<CellResult> results =
         ExperimentEngine(engine_opts).run(plan);

@@ -26,11 +26,10 @@ lbsim-stat-registry (everywhere):
 lbsim-cross-domain (model dirs only, see --model-dirs):
   * raw concurrency primitives (std::thread, std::mutex, std::atomic,
     std::condition_variable, std::async, ...) declared or used in
-    model code. Model state is sharded into per-SM tick domains that
-    synchronize only at the annotated interconnect barrier
-    (SeqDomain/Mutex capabilities + the common/parallel.hpp pool);
-    ad-hoc primitives bypass that proof and invite cross-domain
-    access the -Wthread-safety analysis cannot see
+    model code. The cycle model is single-threaded (one serial SM
+    loop per cycle) and parallelism lives across sweep cells in the
+    experiment engine; a primitive in model code would make results
+    depend on thread scheduling
 
 Suppression: a `// NOLINT` or `// NOLINT(check-name)` comment on the
 flagged line, or `// NOLINTNEXTLINE[(check-name)]` on the line before.
@@ -309,17 +308,16 @@ def check_nondet(path, clean, raw_lines, unordered_names, findings):
 def check_cross_domain(path, clean, raw_lines, findings):
     for m in CROSS_DOMAIN_TYPE_RE.finditer(clean):
         findings.add(path, line_of(clean, m.start()), CROSSDOMAIN,
-                     "raw std::%s in model code; per-SM tick domains may "
-                     "synchronize only at the annotated interconnect "
-                     "barrier — use the SeqDomain/Mutex capabilities and "
-                     "the common/parallel.hpp pool so -Wthread-safety "
-                     "can prove the sharding" % m.group(1), raw_lines)
+                     "raw std::%s in model code; the cycle model is "
+                     "single-threaded — parallelism belongs across sweep "
+                     "cells in the experiment engine" % m.group(1),
+                     raw_lines)
     for m in CROSS_DOMAIN_CALL_RE.finditer(clean):
         findings.add(path, line_of(clean, m.start()), CROSSDOMAIN,
-                     "std::%s in model code bypasses the tick-domain "
-                     "barrier discipline; cross-domain work belongs in "
-                     "the serial phase or behind an annotated capability"
-                     % m.group(1), raw_lines)
+                     "std::%s in model code; the cycle model is "
+                     "single-threaded — parallelism belongs across sweep "
+                     "cells in the experiment engine" % m.group(1),
+                     raw_lines)
 
 
 def struct_blocks(clean):
