@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "harness/experiment.hpp"
 #include "harness/memo_cache.hpp"
 #include "harness/sim_runner.hpp"
@@ -273,6 +274,25 @@ TEST(ParallelMap, PreservesIndexOrderAcrossThreads)
     ASSERT_EQ(squares.size(), 64u);
     for (std::size_t i = 0; i < squares.size(); ++i)
         EXPECT_EQ(squares[i], static_cast<int>(i * i));
+}
+
+TEST(ClampThreadArg, ZeroMeansAutoAndPassesThrough)
+{
+    EXPECT_EQ(clampThreadArg(0, "--threads"), 0u);
+}
+
+TEST(ClampThreadArg, LowersOnlyAboveHardwareConcurrency)
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    EXPECT_EQ(clampThreadArg(1, "--threads"), 1u);
+    if (hw == 0) {
+        // Unknown machine width: nothing to clamp against.
+        EXPECT_EQ(clampThreadArg(64, "--threads"), 64u);
+        return;
+    }
+    EXPECT_EQ(clampThreadArg(hw, "--threads"), hw);
+    EXPECT_EQ(clampThreadArg(hw + 1, "--threads"), hw);
+    EXPECT_EQ(clampThreadArg(4 * hw, "--threads"), hw);
 }
 
 } // namespace

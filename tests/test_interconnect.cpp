@@ -95,6 +95,27 @@ TEST_F(IcntFixture, HopLatencyApplied)
     EXPECT_GE(sink0.responses[0].second, 2 * cfg.icntLatency);
 }
 
+TEST_F(IcntFixture, SendIsQueuedAndCountedAtOnce)
+{
+    // Requests enter the crossbar queue the moment they are sent: the
+    // same-cycle backpressure check, quiescence and the in-flight audit
+    // all see them before any tick.
+    ASSERT_TRUE(icnt->quiescent());
+    MemRequest req;
+    req.lineAddr = 0;
+    req.kind = RequestKind::DataWrite;
+    req.smId = 0;
+    icnt->sendRequest(req, now);
+    req.smId = 1;
+    req.lineAddr = kLineBytes;
+    icnt->sendRequest(req, now);
+    EXPECT_FALSE(icnt->quiescent());
+    icnt->audit(now);
+    run(5000);
+    EXPECT_TRUE(icnt->quiescent());
+    icnt->audit(now);
+}
+
 TEST_F(IcntFixture, BackpressureReflectsInFlightCap)
 {
     // Saturate SM 0's in-flight budget with writes to one partition.

@@ -90,6 +90,28 @@ TEST(SmIntegration, KernelRunsToCompletion)
     EXPECT_EQ(stats.instructionsIssued, 12u * 8u * 50u * 2u);
 }
 
+TEST(SmIntegration, EverySmOfAMultiSmChipRunsItsShare)
+{
+    // The SM loop ticks every SM each cycle: on a 4-SM chip each SM
+    // issues, and the per-SM shards fold into the exact chip total.
+    // Dispatch fills SMs in index order (8 resident CTAs each here), so
+    // 40 CTAs reach all four SMs and spill into a second wave.
+    GpuConfig cfg = GpuConfig{}.scaleTo(4);
+    cfg.maxCycles = 2000000;
+    Gpu gpu(cfg);
+    KernelInfo kernel = tinyKernel(50, 8, 16, 40);
+    const SimStats &stats = gpu.runKernel(kernel);
+    EXPECT_TRUE(gpu.done());
+    EXPECT_EQ(stats.ctasCompleted, 40u);
+    EXPECT_EQ(stats.instructionsIssued, 40u * 8u * 50u * 2u);
+    std::uint64_t per_sm_total = 0;
+    for (std::uint32_t i = 0; i < gpu.numSms(); ++i) {
+        EXPECT_GT(gpu.sm(i).instructionsIssued(), 0u) << "SM " << i;
+        per_sm_total += gpu.sm(i).instructionsIssued();
+    }
+    EXPECT_EQ(per_sm_total, stats.instructionsIssued);
+}
+
 TEST(SmIntegration, RegistersFullyReleasedAfterCompletion)
 {
     GpuConfig cfg = GpuConfig{}.scaleTo(1);
