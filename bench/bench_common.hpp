@@ -24,10 +24,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
-#include "common/parallel.hpp"
+#include "common/cli_args.hpp"
 #include "harness/experiment.hpp"
 #include "harness/oracle.hpp"
 #include "harness/report.hpp"
@@ -63,21 +64,31 @@ benchUsage(const std::string &bench_name)
         bench_name.c_str(), bench_name.c_str());
 }
 
-/** Parse the shared bench arguments; exits on --help or bad input. */
+/**
+ * Parse the shared bench arguments. Exits 0 on --help, 1 on a malformed
+ * or out-of-range --threads/--sms value (checked in argument order, so
+ * before a later --help), 2 on an unknown argument.
+ */
 inline BenchOptions
 parseBenchArgs(int argc, char **argv, const std::string &bench_name)
 {
     BenchOptions opts;
     opts.benchName = bench_name;
     opts.jsonPath = "BENCH_" + bench_name + ".json";
+    constexpr std::uint64_t kU32Max =
+        std::numeric_limits<std::uint32_t>::max();
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
+        std::uint64_t value = 0;
         if (a == "--threads" && i + 1 < argc) {
-            opts.threads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            // 0 means one worker per hardware thread.
+            if (!parseBounded("--threads", argv[++i], 0, kU32Max, value))
+                std::exit(1);
+            opts.threads = static_cast<unsigned>(value);
         } else if (a == "--sms" && i + 1 < argc) {
-            opts.sms = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parseBounded("--sms", argv[++i], 1, kU32Max, value))
+                std::exit(1);
+            opts.sms = static_cast<std::uint32_t>(value);
         } else if (a == "--smoke") {
             opts.smoke = true;
         } else if (a == "--json") {

@@ -121,6 +121,10 @@ struct GpuConfig
      * it), so it is an execution-engine knob excluded from the
      * memo-cache key. Automatically disabled for runs with an
      * armed fault injector: fault hooks must observe every real cycle.
+     *
+     * Only tests turn it off: the off path, which ticks every cycle,
+     * is the reference that test_tick_skip compares the skipping
+     * engine against. No tool or bench exposes it.
      */
     bool tickSkip = true;
 

@@ -8,8 +8,10 @@ pinned here end-to-end against the real binary.
               message),
               3 watchdog trip (with a parseable JSON hang report next
               to it)
+  benches:    1 malformed or out-of-range --threads/--sms value (with a
+              one-line message, before a later --help is read)
 
-Usage: check_cli.py <lbsim_cli>
+Usage: check_cli.py <lbsim_cli> <bench binary, e.g. bench_table1_config>
 """
 
 import json
@@ -106,11 +108,34 @@ def test_cli_rejects_repeated_flag(cli):
           len(lines) == 1 and "--cycles" in lines[0], proc.stderr[-400:])
 
 
+def test_bench_rejects_bad_values(bench, tmp):
+    """The shared bench arguments reject a value that is not a number in
+    range with exit 1 and a one-line message naming the flag, instead
+    of reading it as 0 ("hardware threads" / "the 2-SM slice")."""
+    for args, flag in ((["--sms", "abc"], "--sms"),
+                       (["--sms", "0"], "--sms"),
+                       (["--sms", "4294967296"], "--sms"),
+                       (["--threads", "xyz"], "--threads"),
+                       (["--threads", "-1"], "--threads"),
+                       # --threads 0 still means "auto", so the --sms
+                       # after it is the value that is refused.
+                       (["--threads", "0", "--sms", "2x"], "--sms"),
+                       (["--sms", "abc", "--threads", "xyz", "--help"],
+                        "--sms")):
+        proc = run([bench, *args, "--no-json"], cwd=tmp)
+        name = "bench " + " ".join(args)
+        lines = proc.stderr.strip().splitlines()
+        check(f"{name} exits 1", proc.returncode == 1,
+              f"rc={proc.returncode} stderr={proc.stderr[-400:]}")
+        check(f"{name} explains itself in one line",
+              len(lines) == 1 and flag in lines[0], proc.stderr[-400:])
+
+
 def main():
-    if len(sys.argv) != 2:
+    if len(sys.argv) != 3:
         print(__doc__)
         return 2
-    cli = sys.argv[1]
+    cli, bench = sys.argv[1], sys.argv[2]
     with tempfile.TemporaryDirectory(prefix="lbsim_cli_test_") as tmp:
         # Keep every artifact (and the memo cache) inside the sandbox.
         os.environ["LBSIM_CACHE_PATH"] = os.path.join(tmp, "cache.journal")
@@ -118,6 +143,7 @@ def main():
         test_cli_hang_exit_code(cli, tmp)
         test_cli_rejects_bad_flags(cli)
         test_cli_rejects_repeated_flag(cli)
+        test_bench_rejects_bad_values(bench, tmp)
     if FAILURES:
         print(f"{len(FAILURES)} check(s) failed: {', '.join(FAILURES)}")
         return 1

@@ -2,7 +2,8 @@
  * @file
  * Tests for the experiment layer: plan combinators, engine determinism
  * across thread counts, per-cell error isolation, single-flight
- * memoization, and progress reporting.
+ * memoization, progress reporting, and the numeric command-line
+ * arguments the sweep tools share (common/cli_args.hpp).
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
+#include "common/cli_args.hpp"
 #include "harness/experiment.hpp"
 #include "harness/memo_cache.hpp"
 #include "harness/sim_runner.hpp"
@@ -293,6 +294,27 @@ TEST(ClampThreadArg, LowersOnlyAboveHardwareConcurrency)
     EXPECT_EQ(clampThreadArg(hw, "--threads"), hw);
     EXPECT_EQ(clampThreadArg(hw + 1, "--threads"), hw);
     EXPECT_EQ(clampThreadArg(4 * hw, "--threads"), hw);
+}
+
+TEST(ParseBounded, AcceptsDecimalsInsideTheBounds)
+{
+    std::uint64_t out = 7;
+    EXPECT_TRUE(parseBounded("--sms", "1", 1, 16, out));
+    EXPECT_EQ(out, 1u);
+    EXPECT_TRUE(parseBounded("--sms", "16", 1, 16, out));
+    EXPECT_EQ(out, 16u);
+    EXPECT_TRUE(parseBounded("--threads", "0", 0, 16, out));
+    EXPECT_EQ(out, 0u);
+}
+
+TEST(ParseBounded, RejectsMalformedAndOutOfRangeLeavingOutUntouched)
+{
+    for (const char *text : {"", "abc", "4x", "-1", "+3", " 3", "1e5", "0",
+                             "17", "99999999999999999999999"}) {
+        std::uint64_t out = 7;
+        EXPECT_FALSE(parseBounded("--sms", text, 1, 16, out)) << text;
+        EXPECT_EQ(out, 7u) << text;
+    }
 }
 
 } // namespace

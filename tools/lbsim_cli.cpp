@@ -16,10 +16,8 @@
  *   lbsim_cli --app BI --scheme svc --sms 4 --cycles 600000 --json out.json
  */
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <fstream>
@@ -27,8 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "common/cli_args.hpp"
 #include "common/fs.hpp"
-#include "common/parallel.hpp"
 #include "harness/experiment.hpp"
 #include "harness/oracle.hpp"
 #include "harness/report.hpp"
@@ -132,30 +130,6 @@ flag(int argc, char **argv, const char *name)
             return true;
     }
     return false;
-}
-
-/**
- * Parse @p text, the value of flag @p name, as a decimal integer in
- * [@p lo, @p hi]. Anything else (no digits, a sign, trailing junk, out
- * of range) prints a one-line error and returns false.
- */
-bool
-parseBounded(const char *name, const char *text, std::uint64_t lo,
-             std::uint64_t hi, std::uint64_t &out)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno != 0 ||
-        value < lo || value > hi) {
-        std::fprintf(stderr, "%s: expected an integer in [%llu, %llu], "
-                     "got '%s'\n", name,
-                     static_cast<unsigned long long>(lo),
-                     static_cast<unsigned long long>(hi), text);
-        return false;
-    }
-    out = value;
-    return true;
 }
 
 void
