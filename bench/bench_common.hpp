@@ -65,9 +65,9 @@ benchUsage(const std::string &bench_name)
 }
 
 /**
- * Parse the shared bench arguments. Exits 0 on --help, 1 on a malformed
- * or out-of-range --threads/--sms value (checked in argument order, so
- * before a later --help), 2 on an unknown argument.
+ * Parse the shared bench arguments. Exits 0 on --help, 1 on a missing,
+ * malformed or out-of-range --threads/--sms value (checked in argument
+ * order, so before a later --help), 2 on an unknown argument.
  */
 inline BenchOptions
 parseBenchArgs(int argc, char **argv, const std::string &bench_name)
@@ -80,12 +80,16 @@ parseBenchArgs(int argc, char **argv, const std::string &bench_name)
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         std::uint64_t value = 0;
-        if (a == "--threads" && i + 1 < argc) {
+        if ((a == "--threads" || a == "--sms") && i + 1 >= argc) {
+            std::fprintf(stderr, "%s: missing value\n", a.c_str());
+            std::exit(1);
+        }
+        if (a == "--threads") {
             // 0 means one worker per hardware thread.
             if (!parseBounded("--threads", argv[++i], 0, kU32Max, value))
                 std::exit(1);
             opts.threads = static_cast<unsigned>(value);
-        } else if (a == "--sms" && i + 1 < argc) {
+        } else if (a == "--sms") {
             if (!parseBounded("--sms", argv[++i], 1, kU32Max, value))
                 std::exit(1);
             opts.sms = static_cast<std::uint32_t>(value);

@@ -8,8 +8,9 @@ pinned here end-to-end against the real binary.
               message),
               3 watchdog trip (with a parseable JSON hang report next
               to it)
-  benches:    1 malformed or out-of-range --threads/--sms value (with a
-              one-line message, before a later --help is read)
+  benches:    1 missing, malformed or out-of-range --threads/--sms
+              value (with a one-line message, before a later --help
+              is read)
 
 Usage: check_cli.py <lbsim_cli> <bench binary, e.g. bench_table1_config>
 """
@@ -124,6 +125,16 @@ def test_bench_rejects_bad_values(bench, tmp):
                         "--sms")):
         proc = run([bench, *args, "--no-json"], cwd=tmp)
         name = "bench " + " ".join(args)
+        lines = proc.stderr.strip().splitlines()
+        check(f"{name} exits 1", proc.returncode == 1,
+              f"rc={proc.returncode} stderr={proc.stderr[-400:]}")
+        check(f"{name} explains itself in one line",
+              len(lines) == 1 and flag in lines[0], proc.stderr[-400:])
+    # A flag with no value after it is a missing value, not an unknown
+    # flag (which would exit 2 with the usage text).
+    for flag in ("--threads", "--sms"):
+        proc = run([bench, "--no-json", flag], cwd=tmp)
+        name = f"bench {flag} without a value"
         lines = proc.stderr.strip().splitlines()
         check(f"{name} exits 1", proc.returncode == 1,
               f"rc={proc.returncode} stderr={proc.stderr[-400:]}")

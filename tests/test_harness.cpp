@@ -1,13 +1,16 @@
 /**
  * @file
  * Tests for the harness layer: scheme factories, runner wiring, oracle
- * sweep, memo cache, and reporting helpers.
+ * sweep, memo cache, reporting helpers, and a throughput smoke run of
+ * every Fig-12 scheme.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "harness/memo_cache.hpp"
 #include "harness/oracle.hpp"
@@ -147,6 +150,43 @@ TEST(ComparisonReport, SubsetGeomean)
     report.add("B", "x", 1.0);
     EXPECT_DOUBLE_EQ(report.geomeanVs("x", "base", {"A"}), 4.0);
     EXPECT_DOUBLE_EQ(report.geomeanVs("x", "base", {"B"}), 1.0);
+}
+
+// A miniature sweep through SimRunner, timed the way lbbench times its
+// cells: a scheme that silently stops simulating reports no cycles and
+// no throughput instead of a fast-looking figure.
+TEST(PerfSmoke, EverySchemeReportsPositiveThroughput)
+{
+    GpuConfig gpu;
+    gpu.warmupCycles = 1000;
+    RunnerOptions options;
+    options.simSms = 1;
+    options.maxCycles = 20000;
+    options.useMemoCache = false;
+
+    const AppProfile &app = appById("S2");
+    const std::vector<SchemeConfig> schemes = {
+        SchemeConfig::baseline(), SchemeConfig::bestSwl(8),
+        SchemeConfig::pcal(), SchemeConfig::cerf(),
+        SchemeConfig::linebacker()};
+
+    for (const SchemeConfig &scheme : schemes) {
+        const auto start = std::chrono::steady_clock::now();
+        SimRunner runner(gpu, LbConfig{}, options);
+        const RunMetrics metrics = runner.run(app, scheme);
+        const double wall =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+        const std::uint64_t cycles =
+            gpu.warmupCycles + metrics.stats.cycles;
+        const double cycles_per_sec =
+            wall > 0 ? static_cast<double>(cycles) / wall : 0;
+        EXPECT_GT(metrics.stats.cycles, 0u)
+            << scheme.name << " simulated no cycles";
+        EXPECT_GT(cycles_per_sec, 0.0)
+            << scheme.name << " reported no throughput";
+    }
 }
 
 } // namespace
