@@ -47,7 +47,8 @@ LdstUnit::issue(Warp &warp, const StaticInst &inst,
 }
 
 void
-LdstUnit::tick(std::vector<Warp> &warps, Cycle now)
+LdstUnit::tick(std::vector<Warp> &warps, std::vector<Cycle> &issue_wake,
+               Cycle now)
 {
     // Complete loads whose data arrived.
     completedScratch_.clear();
@@ -61,7 +62,8 @@ LdstUnit::tick(std::vector<Warp> &warps, Cycle now)
         if (warp.outstandingLoads == 0)
             panic("load completion for warp %u with none outstanding",
                   it->second.warpSlot);
-        --warp.outstandingLoads;
+        if (--warp.outstandingLoads == 0)
+            issue_wake[warp.smWarpId % issue_wake.size()] = 0;
         stats_->loadLatencySum += now - it->second.issued;
         ++stats_->loadsCompleted;
         ++stats_->warpInstructionsRetired;

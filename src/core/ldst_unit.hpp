@@ -56,9 +56,14 @@ class LdstUnit
      * collect completions.
      *
      * @param warps Warp table used to credit completed loads.
+     * @param issue_wake Per-scheduler issue wake bounds (Sm::issueWake_,
+     *        warp slot s belongs to stripe s % issue_wake.size()): a
+     *        warp whose last outstanding load completes clears its
+     *        stripe's bound, since it may issue this very cycle.
      * @param now Current cycle.
      */
-    void tick(std::vector<Warp> &warps, Cycle now);
+    void tick(std::vector<Warp> &warps, std::vector<Cycle> &issue_wake,
+              Cycle now);
 
     /** Outstanding queued accesses (structural-hazard visibility). */
     std::size_t queued() const { return queue_.size(); }

@@ -20,6 +20,7 @@ Sm::Sm(const GpuConfig &cfg, std::uint32_t sm_id, Interconnect *icnt,
     for (std::uint32_t s = 0; s < cfg.schedulersPerSm; ++s)
         schedulers_.emplace_back(s, cfg.schedulersPerSm);
     schedOrder_.resize(schedulers_.size());
+    issueWake_.assign(schedulers_.size(), 0);
     for (auto &order : schedOrder_)
         order.reserve(warps_.size() / schedulers_.size() + 1);
     for (std::uint32_t slot = 0; slot < warps_.size(); ++slot)
@@ -115,6 +116,8 @@ Sm::launchCta(std::uint32_t global_cta_id, Cycle now)
     freeWarpSlots_ -= kernel_->warpsPerCta;
     ++residentCtas_;
     occActiveRegs_ += slot->numRegs;
+    // The new warps are ready now, in whichever stripes they landed.
+    std::fill(issueWake_.begin(), issueWake_.end(), 0);
 
     if (controller_)
         controller_->onCtaLaunched(*this, *slot, now);
@@ -140,6 +143,10 @@ Sm::setCtaActive(std::uint32_t cta_hw_id, bool active, Cycle now)
     cta.active = active;
     for (std::uint32_t warp_slot : cta.warpSlots)
         warps_[warp_slot].active = active;
+    // Reactivated warps may issue at once. A deactivation cannot free
+    // a warp, but it can drop the warp a stripe's bound waits for;
+    // clearing then too keeps nextEventCycle() equal to the full walk.
+    std::fill(issueWake_.begin(), issueWake_.end(), 0);
     if (!active) {
         for (GtoScheduler &sched : schedulers_)
             sched.reset();
@@ -188,17 +195,14 @@ Sm::lowestInactiveCta() const
 }
 
 bool
-Sm::canIssue(const Warp &warp, Cycle now) const
+Sm::issueGatesOpen(const Warp &warp) const
 {
-    if (!warp.issuable(now))
-        return false;
-    if (warp.waitsOnLoads && warp.outstandingLoads > 0)
-        return false;
+    // The half of the issue check outside the warp's own state
+    // (Warp::issueWakeCycle): queue room for a memory instruction, then
+    // the controller's throttle gate.
     if (warp.memNext && !ldst_.canAccept())
         return false;
-    if (controller_ && !controller_->warpMayIssue(*this, warp))
-        return false;
-    return true;
+    return !controller_ || controller_->warpMayIssue(*this, warp);
 }
 
 void
@@ -308,17 +312,31 @@ Sm::tick(Cycle now)
     if (controller_)
         controller_->onCycle(*this, now);
 
-    ldst_.tick(warps_, now);
+    ldst_.tick(warps_, issueWake_, now);
 
-    const auto can_issue = [this, now](const Warp &warp) {
-        return canIssue(warp, now);
-    };
     for (std::size_t i = 0; i < schedulers_.size(); ++i) {
+        // Until its wake bound every warp of the stripe fails its own
+        // state test, so pick() could only fail without consulting
+        // the LDST queue or the controller: skip the scan.
+        if (now < issueWake_[i])
+            continue;
+        Cycle wake = kNoCycle;
+        const auto can_issue = [this, now, &wake](const Warp &warp) {
+            const Cycle at = warp.issueWakeCycle(now);
+            if (at > now) {
+                wake = std::min(wake, at);
+                return false;
+            }
+            wake = 0; // Only the queue or the controller can block it.
+            return issueGatesOpen(warp);
+        };
         GtoScheduler &sched = schedulers_[i];
         const std::int32_t slot = sched.pick(warps_, schedOrder_[i],
                                              can_issue);
-        if (slot < 0)
+        if (slot < 0) {
+            issueWake_[i] = wake;
             continue;
+        }
         issueWarp(warps_[static_cast<std::uint32_t>(slot)], now);
         sched.issued(static_cast<std::uint32_t>(slot));
     }
@@ -378,25 +396,33 @@ Sm::nextEventCycle(Cycle now) const
         }
     }
 
-    // Issue stage: replicate canIssue()'s checks per warp. Warps whose
-    // block only lifts via a memory event (load completion, queue
-    // drain) or a controller action need no bound of their own — those
-    // events are bounded above or arrive from the crossbar.
+    // Issue stage. A sleeping stripe's wake bound is exactly the
+    // earliest readyAt among its warps, so only the awake stripes are
+    // walked, with tick()'s own checks and in slot order (the
+    // controller gate sees the calls it always saw). Warps whose block
+    // only lifts via a memory event (load completion, queue drain) or
+    // a controller action need no bound of their own — those events
+    // are bounded above or arrive from the crossbar.
+    bool any_awake = false;
+    for (Cycle wake : issueWake_) {
+        if (wake > now)
+            bound = std::min(bound, wake);
+        else
+            any_awake = true;
+    }
+    if (!any_awake)
+        return bound;
     for (const Warp &warp : warps_) {
-        if (!warp.valid || !warp.active || warp.finished)
-            continue;
-        if (warp.readyAt > now) {
-            if (warp.readyAt < bound)
-                bound = warp.readyAt;
+        if (issueWake_[warp.smWarpId % issueWake_.size()] > now)
+            continue; // Sleeping stripe: bounded above.
+        const Cycle at = warp.issueWakeCycle(now);
+        if (at > now) {
+            bound = std::min(bound, at);
             continue;
         }
-        if (warp.waitsOnLoads && warp.outstandingLoads > 0)
-            continue;
-        if (warp.memNext && !ldst_.canAccept())
-            continue;
-        if (controller_ && !controller_->warpMayIssue(*this, warp))
-            continue; // Gate state only moves at the controller bound.
-        return now; // A scheduler would issue this warp.
+        if (issueGatesOpen(warp))
+            return now; // A scheduler would issue this warp.
+        // Gate state only moves at the controller bound.
     }
 
     return bound;
@@ -603,6 +629,29 @@ Sm::audit(Cycle now) const
     LB_AUDIT(listed == warps_valid,
              "scheduler stripes list %u warps but %u are valid", listed,
              warps_valid);
+
+    // Scheduler wake bounds: a sleeping stripe must hold no warp that
+    // passes its own state test, and must not sleep past the earliest
+    // readyAt it waits for, or tick() would skip an issue.
+    for (std::size_t s = 0; s < issueWake_.size(); ++s) {
+        if (now >= issueWake_[s])
+            continue;
+        Cycle earliest = kNoCycle;
+        for (std::uint32_t slot : schedOrder_[s]) {
+            const Cycle at = warps_[slot].issueWakeCycle(now);
+            LB_AUDIT(at > now,
+                     "scheduler %zu sleeps until cycle %llu but warp slot "
+                     "%u could issue",
+                     s, static_cast<unsigned long long>(issueWake_[s]),
+                     slot);
+            earliest = std::min(earliest, at);
+        }
+        LB_AUDIT(issueWake_[s] <= earliest,
+                 "scheduler %zu sleeps until cycle %llu past its earliest "
+                 "ready warp at cycle %llu",
+                 s, static_cast<unsigned long long>(issueWake_[s]),
+                 static_cast<unsigned long long>(earliest));
+    }
 }
 
 std::string

@@ -239,6 +239,19 @@ class Sm : public ResponseSinkIf
     SimStats &stats() { return *stats_; }
     FaultInjector *faultInjector() const { return fi_; }
 
+    /**
+     * Scheduler @p stripe's issue wake bound: tick() does not scan the
+     * stripe while now < issueWake(stripe) (see issueWake_).
+     */
+    Cycle issueWake(std::size_t stripe) const { return issueWake_[stripe]; }
+
+    /** Overwrite a wake bound (auditor tests). Never call from the model. */
+    void
+    setIssueWakeForTest(std::size_t stripe, Cycle at)
+    {
+        issueWake_[stripe] = at;
+    }
+
     /** Time-averaged register occupancy (finalize at run end). */
     double avgActiveRegs(Cycle cycles) const;
     double avgDurRegs(Cycle cycles) const;
@@ -250,8 +263,9 @@ class Sm : public ResponseSinkIf
     /**
      * Per-SM auditor: register-file bitmap conservation, the warp/CTA
      * tables cross-referencing each other, the CTA register footprint
-     * matching the register-file allocation exactly, and the L1
-     * (tags + MSHRs + pending fills) being internally consistent.
+     * matching the register-file allocation exactly, the scheduler
+     * wake bounds never sleeping past a warp that could issue, and the
+     * L1 (tags + MSHRs + pending fills) being internally consistent.
      */
     void audit(Cycle now) const;
 
@@ -262,7 +276,7 @@ class Sm : public ResponseSinkIf
     void resetOccupancyAccumulators();
 
   private:
-    bool canIssue(const Warp &warp, Cycle now) const;
+    bool issueGatesOpen(const Warp &warp) const;
     void issueWarp(Warp &warp, Cycle now);
     void retireFinishedCtas(Cycle now);
 
@@ -293,6 +307,21 @@ class Sm : public ResponseSinkIf
      * of evaluating the whole stripe per cycle.
      */
     std::vector<std::vector<std::uint32_t>> schedOrder_;
+
+    /**
+     * Per-scheduler issue wake bound. A failed pick() whose stripe had
+     * no warp passing the warp-state test (Warp::issueWakeCycle) sets
+     * it to the stripe's earliest future readyAt (kNoCycle if none);
+     * any other failed pick leaves it at 0, because the LDST queue and
+     * the controller gate are re-checked every cycle. tick() skips
+     * the stripe while now < bound — pick() would fail there without
+     * consulting the queue or the controller — and nextEventCycle()
+     * reads the bound instead of walking the stripe. Every event that
+     * can free a warp earlier clears it: a warp's last outstanding
+     * load completing (LdstUnit::tick, that warp's stripe only),
+     * launchCta and setCtaActive.
+     */
+    std::vector<Cycle> issueWake_;
 
     // Incrementally maintained mirrors of the CTA/warp tables, so the
     // per-cycle paths (canLaunchCta from the dispatcher and the skip

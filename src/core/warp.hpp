@@ -44,11 +44,24 @@ struct Warp
     bool waitsOnLoads = false; ///< body[pcIndex].dependsOnLoads.
     bool memNext = false;      ///< body[pcIndex] is a Load or Store.
 
-    /** True if the warp could issue at @p now given its own state. */
-    bool
-    issuable(Cycle now) const
+    /**
+     * Warp-state half of the issue check, shared by the scheduler scan
+     * (Sm::tick), the tick-skip probe (Sm::nextEventCycle) and the
+     * audit of the scheduler wake bounds. A result <= @p now means the
+     * warp's own state lets it issue now, so only the LDST queue and
+     * the controller gate can still hold it back. A later result is
+     * its readyAt, the cycle it wakes by itself. kNoCycle means only
+     * an external event frees it: its CTA launching or reactivating,
+     * or its last outstanding load completing.
+     */
+    Cycle
+    issueWakeCycle(Cycle now) const
     {
-        return valid && active && !finished && readyAt <= now;
+        if (!valid || !active || finished)
+            return kNoCycle;
+        if (readyAt <= now && waitsOnLoads && outstandingLoads > 0)
+            return kNoCycle;
+        return readyAt;
     }
 };
 

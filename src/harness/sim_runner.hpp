@@ -99,7 +99,7 @@ struct RunnerOptions
      * this field, and it is not part of the memo-cache key.
      */
     std::uint32_t smThreads = 0;
-    /** Memoize results in buildDir/simcache.csv. */
+    /** Memoize results in the shared MemoCache (MemoCache::defaultPath). */
     bool useMemoCache = true;
     /**
      * Run the differential reference model in lockstep with the timing

@@ -348,6 +348,65 @@ TEST_F(VttAuditFixture, EntryInDeactivatedPartitionTrips)
     EXPECT_TRUE(fired("deactivated partition"));
 }
 
+// --- Scheduler wake-bound auditor -------------------------------------------
+
+struct WakeAuditFixture : AuditFixture
+{
+    WakeAuditFixture()
+    {
+        cfg = GpuConfig{}.scaleTo(1);
+        gpu = std::make_unique<Gpu>(cfg);
+        // Four ALU-only warps, one per scheduler stripe, each stalled 40
+        // cycles after every issue: the stripes sleep on readyAt.
+        kernel.name = "alu-stall";
+        kernel.warpsPerCta = 4;
+        kernel.iterations = 1000;
+        kernel.numCtas = 1;
+        StaticInst alu;
+        alu.stallCycles = 40;
+        kernel.body.push_back(alu);
+        gpu->sm(0).setKernel(&kernel);
+        EXPECT_TRUE(gpu->sm(0).launchCta(0, 0));
+    }
+
+    GpuConfig cfg;
+    KernelInfo kernel;
+    std::unique_ptr<Gpu> gpu;
+};
+
+TEST_F(WakeAuditFixture, SleepingStripesPass)
+{
+    int asleep = 0;
+    for (int i = 0; i < 200; ++i) {
+        gpu->tick();
+        gpu->audit();
+        asleep += gpu->sm(0).issueWake(0) > gpu->now() ? 1 : 0;
+    }
+    EXPECT_GT(asleep, 100);
+    EXPECT_TRUE(failures.empty());
+}
+
+TEST_F(WakeAuditFixture, StripeSleepingOverAReadyWarpTrips)
+{
+    // The launched warps are ready at cycle 0.
+    gpu->sm(0).setIssueWakeForTest(0, 100);
+    gpu->sm(0).audit(0);
+    EXPECT_TRUE(fired("could issue"));
+}
+
+TEST_F(WakeAuditFixture, StripeSleepingPastItsEarliestReadyAtTrips)
+{
+    gpu->tick(); // Every warp issues.
+    gpu->tick(); // Every stripe sleeps until its warp's readyAt.
+    Sm &sm = gpu->sm(0);
+    const Cycle wake = sm.issueWake(1);
+    ASSERT_GT(wake, gpu->now());
+    ASSERT_NE(wake, kNoCycle);
+    sm.setIssueWakeForTest(1, wake + 1);
+    sm.audit(gpu->now());
+    EXPECT_TRUE(fired("past its earliest ready warp"));
+}
+
 // --- Whole-chip audit entry point --------------------------------------------
 
 TEST_F(AuditFixture, IdleGpuAuditPasses)

@@ -57,7 +57,7 @@ struct LdstFixture : ::testing::Test
         for (Cycle c = 0; c < cycles; ++c) {
             partition->tick(now);
             icnt->tick(now);
-            ldst->tick(warps, now);
+            ldst->tick(warps, issueWake, now);
             ++now;
         }
     }
@@ -79,6 +79,8 @@ struct LdstFixture : ::testing::Test
     std::unique_ptr<ResponseSinkIf> sink;
     std::unique_ptr<LdstUnit> ldst;
     std::vector<Warp> warps;
+    /** Two scheduler stripes: warp slot s belongs to stripe s % 2. */
+    std::vector<Cycle> issueWake{kNoCycle, kNoCycle};
     Cycle now = 0;
 };
 
@@ -89,6 +91,20 @@ TEST_F(LdstFixture, LoadCreditsWarpOnCompletion)
     run(3000);
     EXPECT_EQ(warps[0].outstandingLoads, 0u);
     EXPECT_EQ(stats.loadsCompleted, 1u);
+}
+
+TEST_F(LdstFixture, LastLoadCompletionClearsOnlyItsStripesWakeBound)
+{
+    ldst->issue(warps[1], loadInst(), {0, 4096}, false, now);
+    while (warps[1].outstandingLoads == 2 && now < 5000)
+        run(1);
+    ASSERT_EQ(warps[1].outstandingLoads, 1u);
+    EXPECT_EQ(issueWake[1], kNoCycle) << "a load is still outstanding";
+    while (warps[1].outstandingLoads == 1 && now < 5000)
+        run(1);
+    ASSERT_EQ(warps[1].outstandingLoads, 0u);
+    EXPECT_EQ(issueWake[1], 0u);
+    EXPECT_EQ(issueWake[0], kNoCycle);
 }
 
 TEST_F(LdstFixture, DivergentLoadCountsEachLine)

@@ -7,9 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "common/check.hpp"
 #include "core/gpu.hpp"
+#include "harness/sim_runner.hpp"
 #include "workload/pattern.hpp"
+#include "workload/suite.hpp"
 
 namespace lbsim
 {
@@ -200,6 +205,139 @@ TEST(SmIntegration, GridDrainsAcrossMultipleWaves)
     const SimStats &stats = gpu.runKernel(kernel);
     EXPECT_TRUE(gpu.done());
     EXPECT_EQ(stats.ctasCompleted, 24u);
+}
+
+// --- Scheduler wake bounds --------------------------------------------------
+//
+// Sm::tick skips a scheduler stripe while every warp in it is blocked on
+// its own state. Each test below pins one event that must wake the
+// stripe at once; without that event's reset the warp issues late or
+// never.
+
+/** True if every scheduler stripe of @p sm sleeps past @p now. */
+bool
+allStripesSleep(const Sm &sm, const GpuConfig &cfg, Cycle now)
+{
+    for (std::size_t s = 0; s < cfg.schedulersPerSm; ++s) {
+        if (sm.issueWake(s) <= now)
+            return false;
+    }
+    return true;
+}
+
+TEST(SmIntegration, LoadBlockedWarpIssuesOnTheCycleItsLastLoadCompletes)
+{
+    // A lone warp alternates a load with an ALU op that consumes it, so
+    // after each load its stripe sleeps on nothing but that load.
+    GpuConfig cfg = GpuConfig{}.scaleTo(1);
+    Gpu gpu(cfg);
+    KernelInfo kernel = tinyKernel(1000000, 1, 16, 1);
+    Sm &sm = gpu.sm(0);
+    sm.setKernel(&kernel);
+    ASSERT_TRUE(sm.launchCta(0, 0));
+    const Warp &warp = sm.warps()[0];
+    const std::size_t stripe = warp.smWarpId % cfg.schedulersPerSm;
+
+    int woken = 0;
+    while (woken < 3 && gpu.now() < 50000) {
+        const Cycle cycle = gpu.now();
+        const std::uint32_t loads = warp.outstandingLoads;
+        const std::uint32_t pc = warp.pcIndex;
+        const bool asleep = sm.issueWake(stripe) > cycle;
+        const bool ready = warp.readyAt <= cycle;
+        gpu.tick();
+        if (loads > 0 && warp.outstandingLoads == 0 && asleep && ready) {
+            EXPECT_NE(warp.pcIndex, pc)
+                << "warp still blocked on cycle " << cycle
+                << ", when its last load completed";
+            ++woken;
+        }
+    }
+    EXPECT_EQ(woken, 3) << "the warp never slept on a load";
+}
+
+TEST(SmIntegration, ReactivatedCtaIssuesOnTheNextTick)
+{
+    GpuConfig cfg = GpuConfig{}.scaleTo(1);
+    Gpu gpu(cfg);
+    KernelInfo kernel = tinyKernel(1000000, 4, 16, 1);
+    Sm &sm = gpu.sm(0);
+    sm.setKernel(&kernel);
+    ASSERT_TRUE(sm.launchCta(0, 0));
+    sm.setCtaActive(0, false, 0);
+    for (int i = 0; i < 100; ++i)
+        gpu.tick();
+    ASSERT_EQ(sm.instructionsIssued(), 0u);
+    ASSERT_TRUE(allStripesSleep(sm, cfg, gpu.now()));
+
+    sm.setCtaActive(0, true, gpu.now());
+    gpu.tick();
+    EXPECT_EQ(sm.instructionsIssued(), 4u)
+        << "every warp of the reactivated CTA is ready";
+}
+
+TEST(SmIntegration, CtaLaunchedMidRunIssuesOnItsLaunchCycle)
+{
+    GpuConfig cfg = GpuConfig{}.scaleTo(1);
+    Gpu gpu(cfg);
+    KernelInfo kernel = tinyKernel(1000000, 4, 16, 2);
+    Sm &sm = gpu.sm(0);
+    sm.setKernel(&kernel);
+    ASSERT_TRUE(sm.launchCta(0, 0));
+    // Run until every stripe sleeps on CTA 0's loads.
+    while (!allStripesSleep(sm, cfg, gpu.now()) && gpu.now() < 1000)
+        gpu.tick();
+    ASSERT_TRUE(allStripesSleep(sm, cfg, gpu.now()));
+
+    const Cycle launch = gpu.now();
+    ASSERT_TRUE(sm.launchCta(1, launch));
+    gpu.tick();
+    std::uint32_t issued = 0;
+    for (const Warp &warp : sm.warps()) {
+        if (warp.valid && warp.globalCtaId == 1 && warp.pcIndex != 0)
+            ++issued;
+    }
+    EXPECT_EQ(issued, 4u) << "CTA 1's warps idled on launch cycle "
+                          << launch;
+}
+
+TEST(SmIntegration, WakeBoundAuditHoldsEveryCycleUnderEveryScheme)
+{
+    if (!checksEnabled(CheckLevel::Full))
+        GTEST_SKIP() << "periodic audits compiled out at this check level";
+    std::vector<std::string> failures;
+    const CheckFailureHandler previous =
+        setCheckFailureHandler([&failures](const CheckFailure &failure) {
+            failures.push_back(failure.message);
+        });
+
+    GpuConfig cfg;
+    cfg.auditStride = 1; // Gpu::audit after every tick.
+    cfg.warmupCycles = 0;
+    LbConfig lb;
+    lb.monitorPeriod = 4000; // Linebacker throttles and reactivates.
+    RunnerOptions opts;
+    opts.simSms = 1;
+    opts.maxCycles = 30000;
+    opts.useMemoCache = false;
+    const AppProfile &app = appById("S2");
+    const SchemeConfig schemes[] = {
+        SchemeConfig::baseline(), SchemeConfig::bestSwl(8),
+        SchemeConfig::pcal(),     SchemeConfig::cerf(),
+        SchemeConfig::linebacker(), SchemeConfig::ccws(),
+    };
+    for (const SchemeConfig &scheme : schemes) {
+        SimRunner runner(cfg, lb, opts);
+        const RunMetrics metrics = runner.run(app, scheme);
+        EXPECT_GT(metrics.stats.instructionsIssued, 0u) << scheme.name;
+        if (scheme.name == SchemeConfig::linebacker().name) {
+            EXPECT_GT(metrics.stats.ctaThrottleEvents, 0u)
+                << "Linebacker never throttled, so setCtaActive went "
+                   "unaudited";
+        }
+    }
+    setCheckFailureHandler(previous);
+    EXPECT_TRUE(failures.empty()) << failures.front();
 }
 
 } // namespace

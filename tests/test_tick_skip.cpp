@@ -13,9 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/stats.hpp"
+#include "core/gpu.hpp"
 #include "harness/sim_runner.hpp"
 #include "resilience/faultinject.hpp"
+#include "workload/pattern.hpp"
 #include "workload/suite.hpp"
 
 namespace lbsim
@@ -159,6 +163,51 @@ TEST(TickSkip, OffMatchesOnWithWatchdogArmed)
             << "tick-skip changed watchdogged results under "
             << scheme.name;
     }
+}
+
+TEST(TickSkip, SleepingStripeBoundMatchesTheWarpWalk)
+{
+    // A lone warp whose load stalls it for 300 cycles and whose next
+    // instruction consumes the load: right after the load issues, the
+    // warp both waits on a load and has a future readyAt. Its stripe
+    // then sleeps, and Sm::nextEventCycle reads the stripe's wake bound
+    // instead of walking the warp; both must give the same cycle.
+    GpuConfig cfg = GpuConfig{}.scaleTo(1);
+    Gpu gpu(cfg);
+    KernelInfo kernel;
+    kernel.name = "stalled-load";
+    kernel.warpsPerCta = 1;
+    kernel.iterations = 1000;
+    kernel.numCtas = 1;
+    kernel.patterns.push_back(
+        std::make_shared<StreamingPattern>(0x100000, 1));
+    StaticInst load;
+    load.op = Opcode::Load;
+    load.stallCycles = 300;
+    kernel.body.push_back(load);
+    StaticInst use;
+    use.pc = 4;
+    use.dependsOnLoads = true;
+    kernel.body.push_back(use);
+    Sm &sm = gpu.sm(0);
+    sm.setKernel(&kernel);
+    ASSERT_TRUE(sm.launchCta(0, 0));
+    const Warp &warp = sm.warps()[0];
+
+    gpu.tick(); // Issues the load.
+    gpu.tick(); // The stripe's failed pick sets its wake bound.
+    const Cycle now = gpu.now();
+    ASSERT_GT(warp.outstandingLoads, 0u);
+    ASSERT_TRUE(warp.waitsOnLoads);
+    ASSERT_GT(warp.readyAt, now);
+    ASSERT_EQ(sm.issueWake(0), warp.readyAt);
+
+    const Cycle cached = sm.nextEventCycle(now);
+    for (std::size_t s = 0; s < cfg.schedulersPerSm; ++s)
+        sm.setIssueWakeForTest(s, 0); // Every stripe awake: full walk.
+    const Cycle walked = sm.nextEventCycle(now);
+    EXPECT_EQ(cached, walked);
+    EXPECT_EQ(walked, warp.readyAt);
 }
 
 } // namespace
