@@ -1,5 +1,6 @@
 #include "mem/interconnect.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/check.hpp"
@@ -14,11 +15,10 @@ Interconnect::Interconnect(const GpuConfig &cfg, SimStats *stats,
                            FaultInjector *fi)
     : cfg_(cfg), stats_(stats), fi_(fi),
       partitions_(cfg.numMemPartitions, nullptr),
-      sinks_(cfg.numSms, nullptr),
+      sinks_(cfg.numSms, nullptr), queues_(cfg.numMemPartitions),
       maxInFlightPerSm_(cfg.l1MshrEntries + cfg.dramQueueDepth),
       inFlightPerSm_(cfg.numSms, 0),
-      retrySkip_(fi == nullptr || !fi->armed()),
-      parks_(cfg.numMemPartitions), ledger_(cfg.numSms)
+      retrySkip_(fi == nullptr || !fi->armed()), ledger_(cfg.numSms)
 {
 }
 
@@ -52,14 +52,16 @@ Interconnect::sendRequest(const MemRequest &req, Cycle now)
               "request from out-of-range SM %u", req.smId);
     LB_ASSERT(req.lineAddr != kNoAddr,
               "request with sentinel address from SM %u", req.smId);
+    std::vector<InFlightRequest> &entries =
+        queues_[partitionOf(req.lineAddr)].entries;
+    const Cycle arrival = now + cfg_.icntLatency;
+    LB_ASSERT(entries.empty() || entries.back().arrival <= arrival,
+              "request sent at cycle %llu arrives before one already "
+              "queued for its partition",
+              static_cast<unsigned long long>(now));
     ledger_.onIssue(req, now);
     ++inFlightPerSm_[req.smId];
-    const Cycle arrival = now + cfg_.icntLatency;
-    requests_.push_back({arrival, req});
-    if (arrival < reqNextArrival_)
-        reqNextArrival_ = arrival;
-    if (arrival <= now)
-        reqAttention_ = true; // Zero-latency hop: due this very tick.
+    entries.push_back({nextSeq_++, arrival, req});
 }
 
 void
@@ -67,6 +69,15 @@ Interconnect::sendResponse(const MemResponse &resp, Cycle now)
 {
     LB_ASSERT(resp.smId < sinks_.size(),
               "response for out-of-range SM %u", resp.smId);
+    if (sweeping_)
+        sweepResponses_.push_back({deliverSeq_, resp, now});
+    else
+        pushResponse(resp, now);
+}
+
+void
+Interconnect::pushResponse(const MemResponse &resp, Cycle now)
+{
     const Cycle extra = fi_ ? fi_->icntResponseDelay(now) : 0;
     if (fi_ && fi_->icntReorderActive(now))
         responses_.push_front({now + cfg_.icntLatency + extra, resp});
@@ -77,142 +88,27 @@ Interconnect::sendResponse(const MemResponse &resp, Cycle now)
 void
 Interconnect::tick(Cycle now)
 {
-    // Deliver requests whose hop latency elapsed; a full partition queue
-    // stalls that request (and, FIFO, those behind it). The loop
-    // compacts retained entries in place, preserving FIFO order — the
-    // same order the old pop-front/push-back rotation produced.
-    //
-    // The retry-skip cache makes the stalled-retry storm cheap: once a
-    // request bounced, re-presenting it to the partition is pure
-    // overhead until the partition's state actually moved (DRAM queue
-    // drained a slot, or an L2 fill freed MSHR space). The partition
-    // epochs tell us exactly that, and the charge hook replays the
-    // counters a real bounce would have touched, so the skip is
-    // invisible in every statistic and in the read-id sequence.
-    // Fast path: the sweep runs only when an arrival is due, when an
-    // unparked arrived entry exists (armed injector), or when a park
-    // summary shows a partition's epoch moved (see parks_). Otherwise
-    // the sweep would re-park every entry unchanged, and its only
-    // per-cycle effect — the L2-blocked retry charge — is replayed per
-    // partition straight from the park counts, in the same aggregate
-    // the entry-by-entry walk would have produced (per-partition
-    // counter increments commute across entries).
-    bool sweep = reqAttention_ || now >= reqNextArrival_;
-    if (!sweep && parkedTotal_ != 0) {
-        for (std::size_t p = 0; p < parks_.size(); ++p) {
-            const PartitionPark &park = parks_[p];
-            if (park.dram != 0 &&
-                partitions_[p]->dramFreeEpoch() != park.dramEpoch) {
-                sweep = true;
-                break;
-            }
-            if (park.l2 != 0 &&
-                (partitions_[p]->l2Epoch() != park.l2Epoch ||
-                 !partitions_[p]->dramCanAccept())) {
-                sweep = true;
-                break;
-            }
-        }
-    }
-    if (sweep) {
-    bool attention = false;
-    Cycle next_arrival = kNoCycle;
-    for (PartitionPark &park : parks_)
-        park = PartitionPark{};
-    parkedTotal_ = 0;
-    std::size_t kept = 0;
-    const std::size_t n = requests_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        InFlightRequest entry = requests_[i];
-        if (entry.arrival > now) {
-            if (entry.arrival < next_arrival)
-                next_arrival = entry.arrival;
-            requests_[kept++] = entry;
-            continue;
-        }
-        const std::uint32_t pidx = partitionOf(entry.req.lineAddr);
-        MemoryPartition *partition = partitions_[pidx];
-        if (entry.block == RetryBlock::Dram) {
-            if (partition->dramFreeEpoch() == entry.blockEpoch) {
-                // Queue only ever shrinks on issue; unchanged epoch
-                // means still full. A real retry would have no effect.
-                ++parks_[pidx].dram;
-                parks_[pidx].dramEpoch = entry.blockEpoch;
-                ++parkedTotal_;
-                requests_[kept++] = entry;
-                continue;
-            }
-        } else if (entry.block == RetryBlock::L2) {
-            if (!partition->dramCanAccept()) {
-                // The DRAM queue filled up since the L2 stall; a real
-                // retry would now bounce at the front door with zero
-                // effects. Reclassify without charging anything.
-                entry.block = RetryBlock::Dram;
-                entry.blockEpoch = partition->dramFreeEpoch();
-                ++parks_[pidx].dram;
-                parks_[pidx].dramEpoch = entry.blockEpoch;
-                ++parkedTotal_;
-                requests_[kept++] = entry;
-                continue;
-            }
-            if (partition->l2Epoch() == entry.blockEpoch) {
-                // No fill since the stall: the L2 MSHRs are still
-                // exhausted for this read, and a real retry would
-                // charge one access and consume one id before
-                // bouncing. Replay exactly that.
-                partition->chargeSkippedReadRetry();
-                ++parks_[pidx].l2;
-                parks_[pidx].l2Epoch = entry.blockEpoch;
-                ++parkedTotal_;
-                requests_[kept++] = entry;
-                continue;
-            }
-        }
-        switch (partition->deliver(entry.req, now)) {
-          case DeliverResult::Accepted:
-            --inFlightPerSm_[entry.req.smId];
-            // Writes have no response; hand-off to the partition is
-            // their terminal event in the request-lifetime ledger.
-            if (!needsResponse(entry.req.kind))
-                ledger_.onRetire(entry.req.smId, entry.req.kind, now);
-            break;
-          case DeliverResult::BlockedDram:
-            if (retrySkip_) {
-                entry.block = RetryBlock::Dram;
-                entry.blockEpoch = partition->dramFreeEpoch();
-                ++parks_[pidx].dram;
-                parks_[pidx].dramEpoch = entry.blockEpoch;
-                ++parkedTotal_;
-            } else {
-                attention = true;
-            }
-            requests_[kept++] = entry;
-            break;
-          case DeliverResult::BlockedL2:
-            if (retrySkip_) {
-                entry.block = RetryBlock::L2;
-                entry.blockEpoch = partition->l2Epoch();
-                ++parks_[pidx].l2;
-                parks_[pidx].l2Epoch = entry.blockEpoch;
-                ++parkedTotal_;
-            } else {
-                attention = true;
-            }
-            requests_[kept++] = entry;
-            break;
-        }
-    }
-    requests_.resize(kept);
-    reqAttention_ = attention;
-    reqNextArrival_ = next_arrival;
-    } else if (parkedTotal_ != 0) {
-        // No partition moved: replay this cycle's L2 retry charges in
-        // bulk (the pre-check established dramCanAccept() for every
-        // partition with L2 parks).
-        for (std::size_t p = 0; p < parks_.size(); ++p) {
-            if (parks_[p].l2 != 0)
-                partitions_[p]->chargeSkippedReadRetries(parks_[p].l2);
-        }
+    // Deliver requests whose hop latency elapsed, one partition queue at
+    // a time (sweepPartition). Requests for different partitions touch
+    // disjoint partition state, and their shared effects (counters, the
+    // ledger's per-SM retire counts) commute — except L2-hit responses,
+    // which all enter responses_. Those are buffered with the seq of the
+    // request that produced them and pushed in send order afterwards,
+    // which is the order a single send-ordered walk would have produced.
+    sweeping_ = true;
+    for (std::uint32_t p = 0; p < queues_.size(); ++p)
+        sweepPartition(p, now);
+    sweeping_ = false;
+    if (!sweepResponses_.empty()) {
+        // Seqs are unique, so a plain sort is already stable (and,
+        // unlike std::stable_sort, allocates nothing).
+        std::sort(sweepResponses_.begin(), sweepResponses_.end(),
+                  [](const SweepResponse &a, const SweepResponse &b) {
+                      return a.seq < b.seq;
+                  });
+        for (const SweepResponse &sent : sweepResponses_)
+            pushResponse(sent.resp, sent.now);
+        sweepResponses_.clear();
     }
 
     while (!responses_.empty() && responses_.front().arrival <= now) {
@@ -224,40 +120,172 @@ Interconnect::tick(Cycle now)
     }
 }
 
+void
+Interconnect::sweepPartition(std::uint32_t p, Cycle now)
+{
+    // The retry-skip cache makes the stalled-retry storm cheap: once a
+    // request bounced, re-presenting it to the partition is pure
+    // overhead until the partition's state actually moved (DRAM queue
+    // drained a slot, or an L2 fill freed MSHR space). The DRAM door
+    // and the L2 fill epoch tell us exactly that, and the charge hook
+    // replays the counters a real bounce would have touched, so the
+    // skip is invisible in every statistic and in the read-id sequence.
+    PartitionQueue &queue = queues_[p];
+    std::vector<InFlightRequest> &entries = queue.entries;
+    const std::size_t n = entries.size();
+    const bool arrivals =
+        queue.parked < n && entries[queue.parked].arrival <= now;
+    if (queue.parked == 0 && !arrivals)
+        return;
+    MemoryPartition *partition = partitions_[p];
+    const std::uint64_t l2_epoch = partition->l2Epoch();
+
+    if (!partition->dramCanAccept()) {
+        // Door shut: deliver() would bounce every request at its first
+        // check, before any counter or fault hook, so nothing is
+        // attempted. L2 parks become DRAM parks, exactly what a real
+        // retry would do, and arrivals park (or, with an armed
+        // injector, stay unparked and retry next tick).
+        for (std::uint32_t i = 0; i < queue.parked; ++i)
+            entries[i].block = RetryBlock::Dram;
+        queue.l2Parked = 0;
+        if (retrySkip_) {
+            for (std::size_t i = queue.parked;
+                 i < n && entries[i].arrival <= now; ++i) {
+                entries[i].block = RetryBlock::Dram;
+                ++queue.parked;
+            }
+        }
+        queue.l2Epoch = l2_epoch;
+        return;
+    }
+
+    // The door is open. DRAM parks bounced off a full queue, which only
+    // a DRAM issue shrinks, so every DRAM park has a free slot to try.
+    const bool dram_parks = queue.parked != queue.l2Parked;
+    const bool l2_moved = queue.l2Parked != 0 && l2_epoch != queue.l2Epoch;
+    queue.l2Epoch = l2_epoch;
+    std::size_t from = queue.parked;
+    if (!dram_parks && !l2_moved) {
+        // No parked entry can act: each L2 park would stall again and
+        // charge one access + one read id. Replay those charges in
+        // bulk — the parked prefix precedes every arrival, so the read
+        // ids still go out in send order — then attempt only the new
+        // arrivals.
+        if (queue.l2Parked != 0)
+            partition->chargeSkippedReadRetries(queue.l2Parked);
+        if (!arrivals)
+            return;
+    } else {
+        from = 0;
+        queue.parked = 0;
+        queue.l2Parked = 0;
+    }
+
+    // Retries the wake rule stalled, charged in one batch before the
+    // next delivery so read ids still go out in send order.
+    std::uint64_t charges = 0;
+    std::size_t kept = from;
+    std::size_t i = from;
+    for (; i < n; ++i) {
+        InFlightRequest &entry = entries[i];
+        if (entry.arrival > now)
+            break;
+        if (!partition->dramCanAccept()) {
+            // A miss earlier in this walk filled the DRAM queue; the
+            // attempt would bounce with zero side effects.
+            if (retrySkip_) {
+                entry.block = RetryBlock::Dram;
+                ++queue.parked;
+            }
+        } else if (entry.block == RetryBlock::L2 &&
+                   partition->readStallCertain(entry.req.lineAddr)) {
+            // The L2 wake rule says the retry would stall again:
+            // replay its charge without presenting it.
+            ++charges;
+            ++queue.parked;
+            ++queue.l2Parked;
+        } else {
+            if (charges != 0) {
+                partition->chargeSkippedReadRetries(charges);
+                charges = 0;
+            }
+            deliverSeq_ = entry.seq;
+            const DeliverResult result =
+                partition->deliver(entry.req, now);
+            if (result == DeliverResult::Accepted) {
+                --inFlightPerSm_[entry.req.smId];
+                // Writes have no response; hand-off to the partition is
+                // their terminal event in the request-lifetime ledger.
+                if (!needsResponse(entry.req.kind))
+                    ledger_.onRetire(entry.req.smId, entry.req.kind, now);
+                continue;
+            }
+            if (retrySkip_) {
+                const bool l2 = result == DeliverResult::BlockedL2;
+                entry.block = l2 ? RetryBlock::L2 : RetryBlock::Dram;
+                ++queue.parked;
+                queue.l2Parked += l2 ? 1 : 0;
+            }
+        }
+        if (kept != i)
+            entries[kept] = entry;
+        ++kept;
+    }
+    if (charges != 0)
+        partition->chargeSkippedReadRetries(charges);
+    if (kept != i) {
+        std::move(entries.begin() + static_cast<std::ptrdiff_t>(i),
+                  entries.end(),
+                  entries.begin() + static_cast<std::ptrdiff_t>(kept));
+        entries.resize(kept + (n - i));
+    }
+}
+
 Cycle
 Interconnect::nextEventCycle(Cycle now) const
 {
     if (!retrySkip_)
         return now; // Armed injector: every attempt must really happen.
-    // reqNextArrival_ bounds every entry that has not been attempted
-    // yet: the last sweep parked everything arrived (retry-skip is on)
-    // and recorded the min future arrival, and enqueues since only
-    // lower it. Parked retries impose no bound of their own — they
-    // only move when their partition does, which the partition's own
-    // nextEventCycle() covers. The per-cycle L2 retry charge is
-    // replayed by applySkippedCycles.
-    Cycle bound = reqNextArrival_;
+    // Every sweep leaves each queue as a parked prefix followed by
+    // entries still crossing, in arrival order, and enqueues only
+    // append later arrivals. So the first unparked entry of each queue
+    // bounds everything not yet attempted. Parked retries impose no
+    // bound of their own; the per-cycle L2 retry charge is replayed by
+    // applySkippedCycles.
+    Cycle bound = kNoCycle;
+    for (const PartitionQueue &queue : queues_) {
+        if (queue.parked < queue.entries.size() &&
+            queue.entries[queue.parked].arrival < bound)
+            bound = queue.entries[queue.parked].arrival;
+    }
     if (!responses_.empty() && responses_.front().arrival < bound)
         bound = responses_.front().arrival;
     return bound <= now ? now : bound;
 }
 
+std::size_t
+Interconnect::queuedRequests() const
+{
+    std::size_t total = 0;
+    for (const PartitionQueue &queue : queues_)
+        total += queue.entries.size();
+    return total;
+}
+
 void
 Interconnect::applySkippedCycles(std::uint64_t cycles)
 {
-    for (InFlightRequest &entry : requests_) {
-        if (entry.block != RetryBlock::L2)
-            continue;
-        MemoryPartition *partition =
-            partitions_[partitionOf(entry.req.lineAddr)];
-        // Mirror of tick()'s L2-blocked path: while the DRAM queue has
-        // room a real retry charges one id + one L2 access per cycle.
-        // When it is full the real engine would flip the entry to
-        // BlockedDram (zero charge) on the next attempt; leaving it as
-        // BlockedL2 here is equivalent because both states converge at
-        // the partition's wake cycle, which ends the skip anyway.
-        if (partition->dramCanAccept())
-            partition->chargeSkippedReadRetries(cycles);
+    for (std::size_t p = 0; p < queues_.size(); ++p) {
+        // Mirror of the sweep's bulk path: while the DRAM queue has room
+        // each L2 park charges one id + one L2 access per cycle. When it
+        // is full the next sweep relabels them as DRAM parks (zero
+        // charge); leaving them L2 parks here is equivalent because
+        // both states converge at the partition's wake cycle, which
+        // ends the skip anyway.
+        if (queues_[p].l2Parked != 0 && partitions_[p]->dramCanAccept())
+            partitions_[p]->chargeSkippedReadRetries(cycles *
+                                                     queues_[p].l2Parked);
     }
 }
 
@@ -269,19 +297,56 @@ Interconnect::audit(Cycle now) const
     // The per-SM in-flight counter tracks exactly the requests still
     // queued in the crossbar (delivery to a partition decrements it).
     std::vector<std::uint32_t> queued(inFlightPerSm_.size(), 0);
-    for (const InFlightRequest &entry : requests_) {
-        LB_AUDIT(entry.req.smId < queued.size(),
-                 "queued request from out-of-range SM %u", entry.req.smId);
-        ++queued[entry.req.smId];
-        LB_AUDIT(entry.arrival <= now + cfg_.icntLatency,
-                 "queued request arrival %llu too far in the future "
-                 "(now %llu, hop %u)",
-                 static_cast<unsigned long long>(entry.arrival),
-                 static_cast<unsigned long long>(now), cfg_.icntLatency);
-        LB_AUDIT(partitions_[partitionOf(entry.req.lineAddr)] != nullptr,
-                 "queued request for line %llx targets an unattached "
-                 "partition",
-                 static_cast<unsigned long long>(entry.req.lineAddr));
+    for (std::size_t p = 0; p < queues_.size(); ++p) {
+        const PartitionQueue &queue = queues_[p];
+        LB_AUDIT(partitions_[p] != nullptr || queue.entries.empty(),
+                 "%zu requests queued for unattached partition %zu",
+                 queue.entries.size(), p);
+        // sweepPartition trusts the cached counts to find the parked
+        // prefix and to bulk-charge the L2 parks without a walk.
+        std::uint32_t parked = 0;
+        std::uint32_t l2_parked = 0;
+        for (std::size_t i = 0; i < queue.entries.size(); ++i) {
+            const InFlightRequest &entry = queue.entries[i];
+            LB_AUDIT(entry.req.smId < queued.size(),
+                     "queued request from out-of-range SM %u",
+                     entry.req.smId);
+            ++queued[entry.req.smId];
+            LB_AUDIT(partitionOf(entry.req.lineAddr) == p,
+                     "line %llx queued for partition %zu (owner is %u)",
+                     static_cast<unsigned long long>(entry.req.lineAddr),
+                     p, partitionOf(entry.req.lineAddr));
+            LB_AUDIT(i == 0 || queue.entries[i - 1].seq < entry.seq,
+                     "partition %zu queue out of send order at entry %zu "
+                     "(seq %llu after %llu)",
+                     p, i, static_cast<unsigned long long>(entry.seq),
+                     static_cast<unsigned long long>(
+                         queue.entries[i - 1].seq));
+            LB_AUDIT(entry.arrival <= now + cfg_.icntLatency,
+                     "queued request arrival %llu too far in the future "
+                     "(now %llu, hop %u)",
+                     static_cast<unsigned long long>(entry.arrival),
+                     static_cast<unsigned long long>(now),
+                     cfg_.icntLatency);
+            if (entry.block == RetryBlock::None)
+                continue;
+            LB_AUDIT(entry.arrival <= now,
+                     "partition %zu parked entry %zu has not arrived "
+                     "(arrival %llu, now %llu)",
+                     p, i, static_cast<unsigned long long>(entry.arrival),
+                     static_cast<unsigned long long>(now));
+            LB_AUDIT(i == parked,
+                     "partition %zu parked entry %zu follows an unparked "
+                     "one",
+                     p, i);
+            ++parked;
+            if (entry.block == RetryBlock::L2)
+                ++l2_parked;
+        }
+        LB_AUDIT(parked == queue.parked && l2_parked == queue.l2Parked,
+                 "partition %zu park counts (%u parked, %u l2) disagree "
+                 "with its queue (%u parked, %u l2)",
+                 p, queue.parked, queue.l2Parked, parked, l2_parked);
     }
     for (std::size_t sm = 0; sm < inFlightPerSm_.size(); ++sm) {
         LB_AUDIT(inFlightPerSm_[sm] == queued[sm],
@@ -290,47 +355,6 @@ Interconnect::audit(Cycle now) const
         LB_AUDIT(inFlightPerSm_[sm] <= maxInFlightPerSm_,
                  "SM %zu in-flight counter %u exceeds cap %u", sm,
                  inFlightPerSm_[sm], maxInFlightPerSm_);
-    }
-    // Park summaries must mirror the queue's retry-skip cache exactly:
-    // tick()'s fast path trusts them to decide whether a sweep (and
-    // the per-cycle L2 retry charge) can be elided.
-    std::uint32_t parked = 0;
-    std::vector<PartitionPark> expect(parks_.size());
-    for (const InFlightRequest &entry : requests_) {
-        if (entry.block == RetryBlock::None)
-            continue;
-        ++parked;
-        PartitionPark &park = expect[partitionOf(entry.req.lineAddr)];
-        if (entry.block == RetryBlock::Dram) {
-            ++park.dram;
-            park.dramEpoch = entry.blockEpoch;
-        } else {
-            ++park.l2;
-            park.l2Epoch = entry.blockEpoch;
-        }
-    }
-    LB_AUDIT(parked == parkedTotal_,
-             "parked-entry total %u disagrees with %u cached entries",
-             parkedTotal_, parked);
-    for (std::size_t p = 0; p < parks_.size(); ++p) {
-        LB_AUDIT(parks_[p].dram == expect[p].dram &&
-                     parks_[p].l2 == expect[p].l2,
-                 "partition %zu park summary (%u dram, %u l2) disagrees "
-                 "with queue (%u dram, %u l2)",
-                 p, parks_[p].dram, parks_[p].l2, expect[p].dram,
-                 expect[p].l2);
-        LB_AUDIT(parks_[p].dram == 0 ||
-                     parks_[p].dramEpoch == expect[p].dramEpoch,
-                 "partition %zu dram park epoch %llu disagrees with "
-                 "queue epoch %llu",
-                 p, static_cast<unsigned long long>(parks_[p].dramEpoch),
-                 static_cast<unsigned long long>(expect[p].dramEpoch));
-        LB_AUDIT(parks_[p].l2 == 0 ||
-                     parks_[p].l2Epoch == expect[p].l2Epoch,
-                 "partition %zu l2 park epoch %llu disagrees with "
-                 "queue epoch %llu",
-                 p, static_cast<unsigned long long>(parks_[p].l2Epoch),
-                 static_cast<unsigned long long>(expect[p].l2Epoch));
     }
     for (const InFlightResponse &entry : responses_) {
         LB_AUDIT(entry.resp.smId < sinks_.size() &&
@@ -348,9 +372,9 @@ void
 Interconnect::auditDrained() const
 {
     StateDumpScope dump([this] { return debugString(); });
-    LB_AUDIT(requests_.empty(),
+    LB_AUDIT(queuedRequests() == 0,
              "%zu requests still queued after the grid drained",
-             requests_.size());
+             queuedRequests());
     LB_AUDIT(responses_.empty(),
              "%zu responses still queued after the grid drained",
              responses_.size());
@@ -364,7 +388,7 @@ Interconnect::debugString() const
     std::snprintf(buf, sizeof(buf),
                   "Interconnect: %zu queued requests, %zu queued "
                   "responses, cap %u/SM\n",
-                  requests_.size(), responses_.size(), maxInFlightPerSm_);
+                  queuedRequests(), responses_.size(), maxInFlightPerSm_);
     std::string out = buf;
     for (std::size_t sm = 0; sm < inFlightPerSm_.size(); ++sm) {
         if (inFlightPerSm_[sm] == 0)

@@ -2,9 +2,10 @@
  * @file
  * SM <-> memory-partition interconnect.
  *
- * A latency/bandwidth-modelled crossbar: requests and responses cross in a
- * fixed number of cycles (Table 1 interconnect hop), with bounded per-
- * partition request queues providing backpressure toward the SMs.
+ * A latency-modelled crossbar: requests and responses cross in a fixed
+ * number of cycles (Table 1 interconnect hop). Requests wait in one
+ * send-ordered queue per memory partition until the partition takes
+ * them; a per-SM in-flight cap provides backpressure toward the SMs.
  */
 
 #pragma once
@@ -82,20 +83,20 @@ class Interconnect
     bool
     quiescent() const
     {
-        return requests_.empty() && responses_.empty();
+        return queuedRequests() == 0 && responses_.empty();
     }
 
     /**
      * Earliest future cycle at which ticking the crossbar could have an
      * effect, or kNoCycle when nothing is in flight. Traffic still
-     * crossing bounds at its arrival cycle; an already-arrived request
-     * that has not been attempted (block == None) bounds at @p now; a
-     * blocked retry has no intrinsic bound — it only moves when its
-     * partition does, which the partition's own bound covers. Responses
-     * bound at the front's arrival: only the front is ever popped, so
-     * later (possibly earlier-stamped) entries cannot act before it.
-     * Returns @p now (no skip) when retry-skip is disabled, because the
-     * armed fault injector must observe every real delivery attempt.
+     * crossing bounds at its arrival cycle (the first entry behind each
+     * partition's parked prefix); a parked retry has no intrinsic bound
+     * — it only moves when its partition does, which the partition's
+     * own bound covers. Responses bound at the front's arrival: only
+     * the front is ever popped, so later (possibly earlier-stamped)
+     * entries cannot act before it. Returns @p now (no skip) when
+     * retry-skip is disabled, because the armed fault injector must
+     * observe every real delivery attempt.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -116,9 +117,12 @@ class Interconnect
     const RequestLedger &ledger() const { return ledger_; }
 
     /**
-     * Structural auditor: per-SM in-flight counters match the queued
-     * requests exactly, queued traffic is addressed to attached
-     * endpoints, and the ledger counters are consistent.
+     * Structural auditor: each partition queue holds only its own
+     * lines in strictly increasing send order, its parked entries form
+     * a prefix whose counts match the cached ones, per-SM in-flight
+     * counters match the queued requests exactly, queued traffic is
+     * addressed to attached endpoints, and the ledger counters are
+     * consistent.
      */
     void audit(Cycle now) const;
 
@@ -131,94 +135,92 @@ class Interconnect
     /** Queue/counter summary for failure reports. */
     std::string debugString() const;
 
+    /** Overwrite partition @p partition's cached L2-park count. */
+    void
+    setL2ParkedForTest(std::uint32_t partition, std::uint32_t l2_parked)
+    {
+        queues_.at(partition).l2Parked = l2_parked;
+    }
+
   private:
     /** Why a queued request last bounced off its partition. */
     enum class RetryBlock : std::uint8_t
     {
-        None, ///< Never attempted (or retry-skip disabled).
+        None, ///< Not parked (never attempted, or retry-skip disabled).
         Dram, ///< Bounced off a full DRAM queue (zero side effects).
         L2,   ///< Read stalled on L2 MSHRs (charged an access + id).
     };
 
     struct InFlightRequest
     {
+        std::uint64_t seq; ///< Global send order.
         Cycle arrival;
         MemRequest req;
-        /**
-         * Retry-skip cache: the blocked flavor of the last delivery
-         * attempt plus the partition epoch observed then. While the
-         * epoch is unchanged a real retry would bounce identically, so
-         * tick() skips the partition walk and just replays the
-         * attempt's (possibly empty) counter effects. Never populated
-         * when an armed fault injector is attached: the injector
-         * observes every real delivery attempt (storm-delay probes),
-         * and skipping would change what it sees.
-         */
         RetryBlock block = RetryBlock::None;
-        std::uint64_t blockEpoch = 0;
     };
     struct InFlightResponse
     {
         Cycle arrival;
         MemResponse resp;
     };
+    /** An L2-hit response sent during the request sweep (see tick()). */
+    struct SweepResponse
+    {
+        std::uint64_t seq; ///< Send order of the request it answers.
+        MemResponse resp;
+        Cycle now;
+    };
+
+    /**
+     * Undelivered requests for one memory partition, in send order.
+     * The hop latency is constant, so send order is arrival order, and
+     * after a sweep the queue is a prefix of parked retries followed by
+     * entries still crossing. Parked entries are retry-skip cache
+     * entries: the L2 epoch seen at the last sweep is shared by all of
+     * them, because it moves only inside MemoryPartition::tick, never
+     * during a sweep. Never populated with an armed fault injector (it
+     * must observe every real delivery attempt), so then parked stays 0.
+     */
+    struct PartitionQueue
+    {
+        std::vector<InFlightRequest> entries;
+        std::uint32_t parked = 0;   ///< Length of the parked prefix.
+        std::uint32_t l2Parked = 0; ///< Parked reads stalled on L2.
+        std::uint64_t l2Epoch = 0;  ///< Partition L2 epoch at last sweep.
+    };
+
+    /** Requests queued across every partition. */
+    std::size_t queuedRequests() const;
+
+    /** Attempt partition @p p's arrived requests (see tick()). */
+    void sweepPartition(std::uint32_t p, Cycle now);
+
+    /** Enqueue @p resp toward its SM, applying the response faults. */
+    void pushResponse(const MemResponse &resp, Cycle now);
 
     const GpuConfig &cfg_;
     SimStats *stats_;
     FaultInjector *fi_;
     std::vector<MemoryPartition *> partitions_;
     std::vector<ResponseSinkIf *> sinks_;
+    std::vector<PartitionQueue> queues_;
+    std::uint64_t nextSeq_ = 0;
     /**
-     * FIFO of undelivered requests. A vector compacted in place per
-     * tick (not a deque rotated entry by entry): tick() walks every
-     * entry each cycle, and under memory-bound phases the queue holds
-     * hundreds of stalled retries, so the walk is the hot loop.
+     * True inside tick()'s request sweep, which visits partitions one
+     * at a time: L2-hit responses are buffered in sweepResponses_ with
+     * the seq of the request being delivered (deliverSeq_) and pushed
+     * in send order once the sweep ends, because hits from different
+     * partitions share responses_.
      */
-    std::vector<InFlightRequest> requests_;
+    bool sweeping_ = false;
+    std::uint64_t deliverSeq_ = 0;
+    std::vector<SweepResponse> sweepResponses_;
     std::deque<InFlightResponse> responses_;
     std::uint32_t maxInFlightPerSm_;
     std::vector<std::uint32_t> inFlightPerSm_;
     /** False when an armed fault injector is attached (see
-     *  InFlightRequest): fault hooks must see every real attempt. */
+     *  PartitionQueue): fault hooks must see every real attempt. */
     bool retrySkip_;
-    /**
-     * Fast-path state for tick()'s request sweep: true while any
-     * retained request has arrived without being parked in the
-     * retry-skip cache (block == None) — only possible when retry-skip
-     * is disabled, where every arrived entry must re-present to the
-     * armed fault injector each tick. When false, the sweep runs only
-     * at reqNextArrival_ (the exact min arrival over the in-flight
-     * set) or when a park summary says a partition moved. Recomputed
-     * by every sweep; enqueues lower the arrival bound (and raise
-     * attention on a same-cycle hop).
-     */
-    bool reqAttention_ = false;
-    Cycle reqNextArrival_ = kNoCycle;
-    /**
-     * Per-partition summary of the parked (retry-skip cached) entries.
-     * Sweep invariant: immediately after a sweep, every parked entry's
-     * blockEpoch equals its partition's current epoch of the matching
-     * flavor — an unchanged-epoch entry passed an equality check and a
-     * freshly parked one recorded the current value — and epochs only
-     * move inside MemoryPartition::tick, never during the sweep
-     * itself. tick() therefore needs just this O(partitions) summary,
-     * not an O(queue) walk, to decide whether any parked entry could
-     * act: a flavor's count is nonzero and its partition's epoch
-     * moved (or, for L2 parks, the DRAM queue filled, which a real
-     * retry would observe by reclassifying). While no partition moved,
-     * the only per-cycle effect is the L2-blocked retry charge,
-     * replayed per partition straight from the counts.
-     */
-    struct PartitionPark
-    {
-        std::uint32_t dram = 0; ///< Entries blocked on a full DRAM queue.
-        std::uint32_t l2 = 0;   ///< Reads stalled on L2 MSHRs.
-        std::uint64_t dramEpoch = 0;
-        std::uint64_t l2Epoch = 0;
-    };
-    std::vector<PartitionPark> parks_;
-    /** Total parked entries across parks_ (0 short-circuits the scan). */
-    std::uint32_t parkedTotal_ = 0;
     RequestLedger ledger_;
 };
 

@@ -62,6 +62,7 @@ MemoryPartition::deliver(const MemRequest &req, Cycle now)
                     now + cfg_.l2Latency);
             return DeliverResult::Accepted;
           case L2Outcome::Miss:
+            wakeLines_.push_back(req.lineAddr);
             // The L2 lookup precedes the DRAM fetch.
             pendingReads_[id] = {req.lineAddr, req.smId, req.kind};
             dram_.enqueue({req.lineAddr, false, req.kind, req.smId, now},
@@ -96,18 +97,10 @@ MemoryPartition::deliver(const MemRequest &req, Cycle now)
 }
 
 void
-MemoryPartition::chargeSkippedReadRetry()
-{
-    // Mirrors the DataRead stall path above: one read id consumed, one
-    // L2 access charged (L2Slice::accessReadImpl's counter), nothing
-    // else — the transient pending-read entry nets out to zero.
-    ++nextReadId_;
-    ++stats_->l2Accesses;
-}
-
-void
 MemoryPartition::chargeSkippedReadRetries(std::uint64_t count)
 {
+    // Mirrors the DataRead stall path above: one read id consumed and
+    // one L2 access charged (L2Slice::accessReadImpl's counter) each.
     nextReadId_ += count;
     stats_->l2Accesses += count;
 }
@@ -158,6 +151,7 @@ MemoryPartition::debugString() const
 void
 MemoryPartition::tick(Cycle now)
 {
+    wakeLines_.clear();
     dram_.tick(now);
 
     doneScratch_.clear();
@@ -167,6 +161,7 @@ MemoryPartition::tick(Cycle now)
         switch (cmd.kind) {
           case RequestKind::DataRead: {
             ++l2Epoch_;
+            wakeLines_.push_back(cmd.lineAddr);
             waiterScratch_.clear();
             std::vector<std::uint64_t> &waiters = waiterScratch_;
             l2_.fill(cmd.lineAddr, completion.done, waiters);

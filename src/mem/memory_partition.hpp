@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,8 +68,8 @@ class MemoryPartition
     void tick(Cycle now);
 
     /**
-     * Epoch of the L2 slice's fill state. Bumped whenever a DRAM fill
-     * completes into the slice (the only event that frees L2 MSHR
+     * Epoch of the L2 slice's fill state. Bumped once per DRAM fill
+     * that completes into the slice (the only event that frees L2 MSHR
      * entries or inserts lines). While it is unchanged and the DRAM
      * queue still has room, a read that stalled on the L2 MSHRs would
      * stall again with identical effects.
@@ -79,23 +80,37 @@ class MemoryPartition
         return l2Epoch_;
     }
 
-    /** Forward of DramChannel::freeEpoch() for the retry-skip cache. */
-    std::uint64_t dramFreeEpoch() const { return dram_.freeEpoch(); }
-
     /** Live DRAM backpressure (cheap; see Interconnect::tick). */
     bool dramCanAccept() const { return dram_.canAccept(); }
 
     /**
-     * Replay the side effects of one skipped L2-stalled read retry.
-     * A real retry runs deliver()'s DataRead path up to the MSHR stall:
-     * it consumes a read id and charges one L2 access (the transient
-     * pending-read entry is inserted and erased again, net zero). The
-     * interconnect calls this instead of deliver() while l2Epoch() is
-     * unchanged, keeping every counter and the id sequence bit-exact.
+     * L2 wake rule: true when a read of @p line_addr would stall on the
+     * L2 MSHRs again, given that it stalled at its last evaluation (a
+     * real attempt or this rule) and no fill reached the slice between
+     * that evaluation and this tick. It stalls again while the MSHR
+     * file is full and the line is neither one filled in this tick nor
+     * one allocated since: with no fill of its own the line still
+     * misses, a merge-slot stall keeps its full entry, and a no-entry
+     * stall lifts only through a free entry or an allocation of its
+     * own line. False means "attempt it", not "it will not stall".
      */
-    void chargeSkippedReadRetry();
+    bool
+    readStallCertain(Addr line_addr) const
+    {
+        return l2_.mshrFull() &&
+            std::find(wakeLines_.begin(), wakeLines_.end(), line_addr) ==
+            wakeLines_.end();
+    }
 
-    /** Bulk form of chargeSkippedReadRetry() for @p count retries. */
+    /**
+     * Replay the side effects of @p count skipped L2-stalled read
+     * retries. A real retry runs deliver()'s DataRead path up to the
+     * MSHR stall: it consumes a read id and charges one L2 access
+     * (nothing else; a stalled read never enters the pending map). The
+     * interconnect calls this instead of deliver() while l2Epoch() is
+     * unchanged or readStallCertain() holds, keeping every counter and
+     * the id sequence bit-exact.
+     */
     void chargeSkippedReadRetries(std::uint64_t count);
 
     /**
@@ -142,8 +157,14 @@ class MemoryPartition
     L2Slice l2_;
     DramChannel dram_;
     std::uint64_t nextReadId_ = 1;
-    /** Bumped per tick that completed at least one L2 fill. */
+    /** Bumped once per completed L2 fill. */
     std::uint64_t l2Epoch_ = 0;
+    /**
+     * Lines filled into the L2 slice since this tick began, and lines
+     * whose L2 MSHR entry was allocated since (see readStallCertain).
+     * Cleared at the start of tick().
+     */
+    std::vector<Addr> wakeLines_;
     FlatMap<std::uint64_t, PendingRead> pendingReads_;
     /** Reused per-tick buffers; tick() is hot and must not allocate. */
     std::vector<DramCompletion> doneScratch_;

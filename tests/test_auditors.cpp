@@ -407,6 +407,54 @@ TEST_F(WakeAuditFixture, StripeSleepingPastItsEarliestReadyAtTrips)
     EXPECT_TRUE(fired("past its earliest ready warp"));
 }
 
+// --- Crossbar partition queues -----------------------------------------------
+
+/** One partition with a one-entry L2 MSHR file, so reads park. */
+struct IcntAuditFixture : AuditFixture
+{
+    IcntAuditFixture()
+    {
+        cfg.numSms = 1;
+        cfg.numMemPartitions = 1;
+        cfg.l1MshrEntries = 1;
+        icnt = std::make_unique<Interconnect>(cfg, &stats);
+        partition =
+            std::make_unique<MemoryPartition>(cfg, 0, icnt.get(), &stats);
+        icnt->attachPartition(0, partition.get());
+        for (Addr line = 0; line < 3 * kLineBytes; line += kLineBytes) {
+            MemRequest req;
+            req.lineAddr = line;
+            req.kind = RequestKind::DataRead;
+            icnt->sendRequest(req, now);
+        }
+        // Past the hop: the first read allocated the only MSHR entry,
+        // the other two are parked L2 stalls.
+        for (; now <= cfg.icntLatency + 1; ++now) {
+            partition->tick(now);
+            icnt->tick(now);
+        }
+    }
+
+    GpuConfig cfg;
+    SimStats stats;
+    std::unique_ptr<Interconnect> icnt;
+    std::unique_ptr<MemoryPartition> partition;
+    Cycle now = 0;
+};
+
+TEST_F(IcntAuditFixture, ParkedQueuePasses)
+{
+    icnt->audit(now);
+    EXPECT_TRUE(failures.empty());
+}
+
+TEST_F(IcntAuditFixture, CorruptL2ParkCountTrips)
+{
+    icnt->setL2ParkedForTest(0, 1);
+    icnt->audit(now);
+    EXPECT_TRUE(fired("park counts"));
+}
+
 // --- Whole-chip audit entry point --------------------------------------------
 
 TEST_F(AuditFixture, IdleGpuAuditPasses)

@@ -152,5 +152,33 @@ TEST_F(IcntFixture, ManyRequestsAllAnswered)
     EXPECT_EQ(sink0.responses.size() + sink1.responses.size(), 64u);
 }
 
+TEST_F(IcntFixture, SameCycleL2HitsAnswerInSendOrderAcrossPartitions)
+{
+    // The sweep visits one partition queue at a time, but L2 hits from
+    // different partitions share the response queue: their answers
+    // must leave in the order the requests were sent.
+    MemRequest req;
+    req.kind = RequestKind::DataRead;
+    req.smId = 0;
+    req.lineAddr = 0; // Partition 0.
+    icnt->sendRequest(req, now);
+    req.lineAddr = kLineBytes; // Partition 1.
+    icnt->sendRequest(req, now);
+    run(3000);
+    ASSERT_EQ(sink0.responses.size(), 2u);
+    const std::uint64_t hits = stats.l2Hits;
+    sink0.responses.clear();
+
+    icnt->sendRequest(req, now); // kLineBytes first...
+    req.lineAddr = 0;
+    icnt->sendRequest(req, now); // ...then line 0, in the same cycle.
+    run(3000);
+    EXPECT_EQ(stats.l2Hits, hits + 2);
+    ASSERT_EQ(sink0.responses.size(), 2u);
+    EXPECT_EQ(sink0.responses[0].first.lineAddr, kLineBytes);
+    EXPECT_EQ(sink0.responses[1].first.lineAddr, 0u);
+    EXPECT_EQ(sink0.responses[0].second, sink0.responses[1].second);
+}
+
 } // namespace
 } // namespace lbsim
